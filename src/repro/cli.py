@@ -569,7 +569,13 @@ def _run_serve(argv: list[str]) -> int:
         f"({len(feed.store.users)} users)",
         flush=True,
     )
-    stopping.wait()
+    # A timed wait in a loop, never a bare wait(): the kernel may hand the
+    # signal to a request thread, and the Python-level handler runs only
+    # when the main thread next executes bytecode — which a main thread
+    # parked on a lock without a timeout never does. A signal that does
+    # land on the main thread still interrupts the wait at once.
+    while not stopping.wait(0.1):
+        pass
     server.stop()
     # The shutdown flush is load-bearing: SIGTERM must leave a complete
     # final snapshot + fsync'd WAL, and a failed flush must be *loud* —

@@ -12,6 +12,7 @@ from __future__ import annotations
 import time
 from abc import ABC, abstractmethod
 from collections.abc import Iterable
+from itertools import islice
 
 from ..authors import AuthorGraph
 from ..errors import CheckpointError, StreamOrderError
@@ -143,6 +144,67 @@ class StreamDiversifier(ABC):
         when a :class:`repro.storage.SpillConfig` was supplied."""
         storage = self._storage
         return PostBin() if storage is None else storage.make_bin()
+
+    def _covered_in(
+        self, bin_, post: Post, *, author_known: bool, mirror=None
+    ) -> bool:
+        """The coverage scan of one bin, already expired at
+        ``post.timestamp``: True iff a stored post covers ``post``.
+
+        ``author_known`` is for bins whose membership implies author
+        similarity (NeighborBin, CliqueBin). ``mirror`` is a caller-kept
+        :class:`~repro.simhash.CoverageKernel` over the *whole* bin
+        (UniBin's), probed in place of the bin's own tiers.
+
+        Accounting is the scalar loop's wherever the hit falls: a hit at
+        scan position ``p`` adds ``p`` comparisons, a miss adds the
+        candidates checked, and the governor's probe limit stops the scan
+        after exactly ``limit`` candidates — counted across the head/cold
+        boundary of a tiered bin. A truncated scan can only miss a
+        coverer, i.e. admit extra.
+        """
+        checker = self.checker
+        covers = checker.covers_known_author_similar if author_known else checker.covers
+        stats = self.stats
+        limit = self._probe_limit
+        if self.newest_first:
+            head, cold = ((), mirror) if mirror is not None else bin_.scan_tiers()
+            candidates = reversed(head)
+        else:
+            # The ablation order has no columnar path: it walks whole posts.
+            cold = None
+            candidates = bin_.scan(
+                post.timestamp, self.thresholds.lambda_t, newest_first=False
+            )
+        if limit is not None:
+            candidates = islice(candidates, limit)
+        checked = 0
+        for checked, candidate in enumerate(candidates, 1):
+            if covers(post, candidate):
+                stats.comparisons += checked
+                return True
+        if cold is not None and checked != limit:
+            verdict = cold.probe(
+                post.fingerprint,
+                post.author,
+                lambda_c=self.thresholds.lambda_c,
+                limit=None if limit is None else limit - checked,
+                author_free=author_known or checker._author_free,
+                graph=checker.graph,
+            )
+            if verdict is not None:
+                covered, cold_checked = verdict
+                stats.comparisons += checked + cold_checked
+                return covered
+            # The probing fingerprint does not fit the columns (which stay
+            # valid): this one post walks the mirrored posts themselves.
+            older = islice(reversed(bin_.data), checked, limit)
+            for checked, candidate in enumerate(older, checked + 1):
+                if covers(post, candidate):
+                    stats.comparisons += checked
+                    return True
+        stats.comparisons += checked
+        return False
 
     @staticmethod
     def _flush_bin(bin_) -> int:

@@ -43,6 +43,15 @@ class PostBin:
         """
         return self._posts
 
+    def scan_tiers(self) -> tuple[deque[Post], None]:
+        """``(head, cold)`` for the engines' newest-first coverage scan:
+        ``head`` is walked candidate by candidate, newest (rightmost)
+        first; ``cold`` is a :class:`~repro.simhash.CoverageKernel` over
+        the entries older than the head, or ``None`` when the head is the
+        whole bin — always, for an in-memory bin. Like :attr:`data`, only
+        valid right after :meth:`expire` at the probing timestamp."""
+        return self._posts, None
+
     def append(self, post: Post) -> None:
         """Store ``post`` as the newest entry."""
         self._posts.append(post)

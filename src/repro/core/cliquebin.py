@@ -63,46 +63,15 @@ class CliqueBin(StreamDiversifier):
         return cliques
 
     def _is_covered(self, post: Post) -> bool:
-        covers = self.checker.covers_known_author_similar
         stats = self.stats
         lambda_t = self.thresholds.lambda_t
-        timestamp = post.timestamp
         bins = self._bins
-        newest_first = self.newest_first
-        limit = self._probe_limit
+        # The governor's probe limit applies per scanned clique bin.
         for clique_idx in self._cliques_of(post.author):
             bin_ = bins[clique_idx]
-            stats.record_evictions(bin_.expire(timestamp, lambda_t))
-            if newest_first:
-                # Post-expiry the deque holds only in-window posts: scan it
-                # directly without per-candidate cutoff checks.
-                checked = 0
-                if limit is None:
-                    for candidate in reversed(bin_.data):
-                        checked += 1
-                        if covers(post, candidate):
-                            stats.comparisons += checked
-                            return True
-                else:
-                    # Governor-degraded mode: the cap applies per scanned
-                    # clique bin; a truncated scan can only admit extra.
-                    for candidate in reversed(bin_.data):
-                        checked += 1
-                        if covers(post, candidate):
-                            stats.comparisons += checked
-                            return True
-                        if checked >= limit:
-                            break
-                stats.comparisons += checked
-            else:
-                checked = 0
-                for candidate in bin_.scan(timestamp, lambda_t, newest_first=False):
-                    checked += 1
-                    stats.comparisons += 1
-                    if covers(post, candidate):
-                        return True
-                    if checked == limit:
-                        break
+            stats.record_evictions(bin_.expire(post.timestamp, lambda_t))
+            if self._covered_in(bin_, post, author_known=True):
+                return True
         return False
 
     def _admit(self, post: Post) -> None:

@@ -59,44 +59,10 @@ class NeighborBin(StreamDiversifier):
 
     def _is_covered(self, post: Post) -> bool:
         own_bin = self._bin_of(post.author)
-        covers = self.checker.covers_known_author_similar
-        stats = self.stats
-        stats.record_evictions(
+        self.stats.record_evictions(
             own_bin.expire(post.timestamp, self.thresholds.lambda_t)
         )
-        limit = self._probe_limit
-        if self.newest_first:
-            # The expiry above left only in-window posts: scan the deque
-            # directly, no cutoff check or generator frame per candidate.
-            checked = 0
-            if limit is None:
-                for candidate in reversed(own_bin.data):
-                    checked += 1
-                    if covers(post, candidate):
-                        stats.comparisons += checked
-                        return True
-            else:
-                # Governor-degraded mode: bounded fan-out, may admit extra.
-                for candidate in reversed(own_bin.data):
-                    checked += 1
-                    if covers(post, candidate):
-                        stats.comparisons += checked
-                        return True
-                    if checked >= limit:
-                        break
-            stats.comparisons += checked
-            return False
-        checked = 0
-        for candidate in own_bin.scan(
-            post.timestamp, self.thresholds.lambda_t, newest_first=False
-        ):
-            checked += 1
-            stats.comparisons += 1
-            if covers(post, candidate):
-                return True
-            if checked == limit:
-                break
-        return False
+        return self._covered_in(own_bin, post, author_known=True)
 
     def _admit(self, post: Post) -> None:
         lambda_t = self.thresholds.lambda_t

@@ -6,17 +6,17 @@ the full three-dimensional coverage predicate per candidate. Minimal memory
 (one copy per admitted post, the §4.4 ``r·n``), maximal comparisons
 (``r·n`` per arrival).
 
-The newest-first scan has two implementations with identical semantics:
-the scalar loop below, and the batched popcount kernel of
-:class:`repro.simhash.CoverageKernel`, which mirrors the bin in columnar
-numpy arrays. Dispatch is hybrid and lazy: a vectorized sweep carries
+The newest-first scan has two implementations with identical semantics,
+both behind :meth:`StreamDiversifier._covered_in`: the scalar loop, and the
+batched popcount kernel of :class:`repro.simhash.CoverageKernel`, which
+mirrors the bin in columnar numpy arrays. Dispatch is hybrid and lazy: a vectorized sweep carries
 ~10µs of fixed numpy overhead, so scans shorter than
 ``VECTOR_MIN_SCAN`` always take the scalar loop, and the kernel is only
 *built* (an O(window) rebuild from the bin) the first time a scan is
 long enough to vectorize — engines whose windows never grow past the
-threshold pay zero kernel maintenance. The kernel is only eligible on a
-plain in-memory bin (no tiered storage) in newest-first order, and it
-is bit-exact — same verdicts, same ``comparisons`` accounting, same
+threshold pay zero kernel maintenance. This engine-side kernel is only
+eligible on a plain in-memory bin in newest-first order (a tiered bin
+keeps its own mirror of what it spilled), and it is bit-exact — same verdicts, same ``comparisons`` accounting, same
 probe-limit truncation — so checkpoints and receiver sets do not depend
 on which path ran; the differential suite asserts as much.
 """
@@ -126,55 +126,7 @@ class UniBin(StreamDiversifier):
             kernel = self._kernel
             if kernel is None and self._kernel_eligible:
                 kernel = self._activate_kernel()
-        if kernel is not None:
-            checker = self.checker
-            verdict = kernel.probe(
-                post.fingerprint,
-                post.author,
-                lambda_c=self.thresholds.lambda_c,
-                limit=limit,
-                author_free=checker._author_free,
-                graph=checker.graph,
-            )
-            if verdict is not None:
-                covered, checked = verdict
-                stats.comparisons += checked
-                return covered
-            # The probing fingerprint itself does not fit uint64: scan
-            # this one post scalar; the mirrored window stays valid.
-        covers = self.checker.covers
-        if self.newest_first:
-            checked = 0
-            if limit is None:
-                for candidate in reversed(self._bin.data):
-                    checked += 1
-                    if covers(post, candidate):
-                        stats.comparisons += checked
-                        return True
-            else:
-                # Degraded mode (memory governor): bound the fan-out. A
-                # truncated scan can only miss a coverer, i.e. admit extra.
-                for candidate in reversed(self._bin.data):
-                    checked += 1
-                    if covers(post, candidate):
-                        stats.comparisons += checked
-                        return True
-                    if checked >= limit:
-                        break
-            stats.comparisons += checked
-            return False
-        # Oldest-first ablation order keeps the generator path.
-        checked = 0
-        for candidate in self._bin.scan(
-            post.timestamp, self.thresholds.lambda_t, newest_first=False
-        ):
-            checked += 1
-            stats.comparisons += 1
-            if covers(post, candidate):
-                return True
-            if checked == limit:
-                break
-        return False
+        return self._covered_in(self._bin, post, author_known=False, mirror=kernel)
 
     def _admit(self, post: Post) -> None:
         # _is_covered already expired the bin at this exact timestamp, so

@@ -48,7 +48,7 @@ from dataclasses import dataclass, replace
 
 from ..core import RunStats, StreamDiversifier, Thresholds
 from ..resilience.faults import WorkerFaultPlan, execute_worker_fault
-from ..supervise import WorkerProtocol
+from ..supervise import WorkerProtocol, parent_commands
 from .migrate import mutate_subgraph, patch_engine, seeded_engine
 
 
@@ -142,16 +142,14 @@ class DynamicShardServer:
 
 
 def dynamic_worker_main(conn, spec: DynamicShardSpec) -> None:
-    """Worker entry point: serve commands until ``stop`` or pipe close."""
+    """Worker entry point: serve commands until ``stop``, pipe close or
+    the death of the parent process."""
+    commands = parent_commands(conn)
     server = DynamicShardServer(spec)
     faults = spec.faults
     batches = 0
     conn.send(("ok", "ready"))
-    while True:
-        try:
-            message = conn.recv()
-        except EOFError:
-            break
+    for message in commands:
         command = message[0]
         try:
             payload = server.handle(message)

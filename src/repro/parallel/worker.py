@@ -53,7 +53,7 @@ from dataclasses import dataclass, replace
 from ..authors import AuthorGraph
 from ..core import RunStats, StreamDiversifier, Thresholds, make_diversifier
 from ..resilience.faults import WorkerFaultPlan, execute_worker_fault
-from ..supervise import WorkerProtocol
+from ..supervise import WorkerProtocol, parent_commands
 from .shm import (
     attach_ring,
     batch_nbytes,
@@ -214,9 +214,11 @@ BATCH_COMMANDS = frozenset({"batch", "shm_batch", "shm_batch_payload"})
 
 def shard_worker_main(conn, spec: ShardSpec) -> None:
     """Worker process entry point: build engines, serve commands, exit on
-    ``stop`` or when the parent's end of the pipe closes. Borrowed
-    shared-memory mappings are closed on every return path (the
-    coordinator owns — and eventually unlinks — the segments)."""
+    ``stop``, when the parent's end of the pipe closes or when the parent
+    process is gone. Borrowed shared-memory mappings are closed on every
+    return path (the coordinator owns — and eventually unlinks — the
+    segments)."""
+    commands = parent_commands(conn)
     try:
         server = ShardServer(spec)
     except BaseException as exc:  # startup failure: report, then die
@@ -229,11 +231,7 @@ def shard_worker_main(conn, spec: ShardSpec) -> None:
     batches = 0
     conn.send(("ok", "ready"))
     try:
-        while True:
-            try:
-                message = conn.recv()
-            except EOFError:
-                break
+        for message in commands:
             command = message[0]
             try:
                 payload = server.handle(message)

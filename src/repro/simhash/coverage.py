@@ -6,9 +6,12 @@ candidate at a time in the interpreter. This module replaces that loop
 with batch arithmetic: a :class:`CoverageKernel` mirrors the window bin
 in columnar numpy arrays (fingerprints as ``uint64``, timestamps as
 ``float64``, author ids as ``int64``) and answers each probe with a
-chunked XOR → SWAR-popcount sweep, newest first, so the content test for
+chunked XOR → popcount sweep, newest first, so the content test for
 a whole block of candidates costs one vector expression instead of a
-block of Python iterations.
+block of Python iterations. Two owners keep one: UniBin over a plain
+in-memory bin once its scans are long enough to vectorize, and every
+:class:`~repro.storage.TieredPostBin` over its *spilled* entries, where
+the columns are all that stays resident of a spilled post.
 
 Bit-exactness contract (asserted by ``tests/core/test_vector_coverage.py``):
 
@@ -24,17 +27,20 @@ Bit-exactness contract (asserted by ``tests/core/test_vector_coverage.py``):
   newest-first up to and including the first hit), so graphs with
   side effects or instrumentation observe the same call sequence.
 
-The time dimension needs no mask here: UniBin expires the bin at the
-probing post's timestamp *before* scanning, and stream order bounds every
-remaining candidate inside ``[t − λt, t]``, so ``time_similar`` is
+The time dimension needs no mask here: every engine expires the bin at
+the probing post's timestamp *before* scanning, and stream order bounds
+every remaining candidate inside ``[t − λt, t]``, so ``time_similar`` is
 vacuously true for every candidate the kernel sees.
 
 Fingerprints outside ``[0, 2^64)`` or author ids outside the ``int64``
-range cannot be mirrored; the owning engine catches the resulting
-``OverflowError`` and falls back to the scalar scan (see
-:meth:`repro.core.unibin.UniBin._admit`). A module-level switch
+range cannot be mirrored; the owner abandons its kernel and scans scalar
+(UniBin catches the ``OverflowError`` of :meth:`CoverageKernel.append`,
+see :meth:`repro.core.unibin.UniBin._admit`; a tiered bin checks a post's
+types before mirroring it, because numpy would quietly store a bool
+author or an int timestamp). A module-level switch
 (:func:`set_kernel_enabled`, env ``REPRO_COVERAGE_KERNEL=0``) forces the
-scalar path globally — the differential tests run both sides of it.
+scalar path for UniBin's in-memory mirror globally — the differential
+tests run both sides of it.
 """
 
 from __future__ import annotations
@@ -65,10 +71,12 @@ PROBE_BLOCK = 256
 FIRST_BLOCK = 32
 
 #: Scans shorter than this are cheaper in the scalar loop: one numpy
-#: sweep costs ~10µs of fixed call overhead regardless of width, which a
-#: Python loop over a handful of candidates undercuts easily. Engines
-#: consult this before probing (see ``UniBin._is_covered``); the kernel
-#: itself answers any scan it is asked for.
+#: sweep costs ~4µs of fixed call overhead regardless of width, which a
+#: Python loop over a handful of candidates undercuts easily, and below
+#: it a mirror of an in-memory bin is not worth keeping. UniBin consults
+#: this before probing (see ``UniBin._is_covered``); the kernel itself
+#: answers any scan it is asked for, as it does for a tiered bin's
+#: spilled entries, whose columns are resident anyway.
 VECTOR_MIN_SCAN = 64
 
 _MIN_CAPACITY = 64
@@ -156,6 +164,18 @@ class CoverageKernel:
         self._start += count
         if self._start >= self._end:
             self._start = self._end = 0
+
+    def count_older(self, cutoff: float) -> int:
+        """How many entries a left-to-right expiry at ``cutoff`` drops:
+        the length of the leading run with ``timestamp < cutoff`` — the
+        deque loop's exact answer, read off the timestamp column. The
+        common "oldest entry still in window" case costs one cell read."""
+        start, end = self._start, self._end
+        if start == end or not self._ts[start] < cutoff:
+            return 0
+        older = self._ts[start:end] < cutoff
+        first_kept = int(older.argmin())
+        return first_kept if not older[first_kept] else end - start
 
     def clear(self) -> None:
         self._start = self._end = 0

@@ -24,33 +24,27 @@ def hamming(a: int, b: int) -> int:
 
 
 def popcount64(x: np.ndarray) -> np.ndarray:
-    """Per-element bit count of a uint64 array (classic SWAR popcount).
+    """Per-element bit count of a uint64 array, as ``uint8`` counts.
 
     The shared primitive of every batched Hamming path: the distribution
     studies, the vectorized coverage kernel
     (:mod:`repro.simhash.coverage`) and the pigeonhole index's bucket
     filter all XOR their candidates against a probe and feed the result
-    here, so one popcount implementation serves them all.
+    here. One ``np.bitwise_count`` call (numpy >= 2.0, the hardware
+    popcount where the CPU has one).
     """
-    x = x.astype(np.uint64, copy=False)
-    m1 = np.uint64(0x5555555555555555)
-    m2 = np.uint64(0x3333333333333333)
-    m4 = np.uint64(0x0F0F0F0F0F0F0F0F)
-    h01 = np.uint64(0x0101010101010101)
-    x = x - ((x >> np.uint64(1)) & m1)
-    x = (x & m2) + ((x >> np.uint64(2)) & m2)
-    x = (x + (x >> np.uint64(4))) & m4
-    return ((x * h01) >> np.uint64(56)).astype(np.int64)
+    return np.bitwise_count(x.astype(np.uint64, copy=False))
 
 
 def hamming_bulk(fingerprints_a: np.ndarray, fingerprints_b: np.ndarray) -> np.ndarray:
     """Element-wise Hamming distances of two equal-length uint64 arrays.
 
-    Uses the classic SWAR popcount so the whole batch stays inside numpy.
+    Widened to ``int64`` so callers can subtract and sum distances
+    without wrapping the ``uint8`` counts.
     """
     return popcount64(
         fingerprints_a.astype(np.uint64) ^ fingerprints_b.astype(np.uint64)
-    )
+    ).astype(np.int64)
 
 
 def within(a: int, b: int, threshold: int) -> bool:

@@ -26,7 +26,7 @@ import numpy as np
 from .hamming import hamming, popcount64
 
 #: Bucket size from which :meth:`SimHashIndex.iter_within` switches from
-#: per-entry ``int.bit_count`` to one batched XOR + SWAR popcount over the
+#: per-entry ``int.bit_count`` to one batched XOR + popcount over the
 #: whole bucket. Below this the ~10µs fixed numpy call overhead outweighs
 #: the win — measured breakeven against the scalar loop sits near 90
 #: entries, so 64 leaves margin for slower per-entry consumers.

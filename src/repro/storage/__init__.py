@@ -6,7 +6,8 @@ default; pass ``storage=SpillConfig(...)`` (through ``make_diversifier`` /
 :class:`TieredPostBin` — an in-memory recent head plus append-only spill
 segments on disk, with expiry dropping whole old segments so compaction is
 free. Verdicts, stats and checkpoints are byte-identical to the in-memory
-store; only scan locality is traded (see :mod:`repro.storage.tiered`).
+store; a spilled post keeps the three cells the coverage scan reads
+resident, so scans never open a segment (see :mod:`repro.storage.tiered`).
 
 :mod:`repro.storage.accounting` supplies the deterministic byte estimates
 the :class:`~repro.resilience.MemoryGovernor` budgets against.

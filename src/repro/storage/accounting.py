@@ -13,7 +13,8 @@ the accounted structures under it too.
 Accounted families (one gauge each in :mod:`repro.obs`):
 
 * ``window`` — admitted posts held in engine bins (RAM head only for
-  tiered bins; spilled segments cost a per-entry stub, not the post).
+  tiered bins; a spilled post costs its three resident column cells, not
+  the post).
 * ``index``  — SimHash pigeonhole tables (:class:`repro.simhash.SimHashIndex`).
 * ``journal`` — the supervisor's write-ahead :class:`~repro.supervise.BatchJournal`.
 * ``service`` — the ingest service's per-run reservoirs (arrival/latency
@@ -33,8 +34,9 @@ POST_BASE_BYTES = 168
 #: One deque slot (pointer into a deque block, amortized).
 DEQUE_SLOT_BYTES = 8
 
-#: In-memory stub for a spilled post: its timestamp in the segment's
-#: timestamp list plus the list slot (the post text lives on disk).
+#: What stays resident of a spilled post: one ``uint64`` fingerprint, one
+#: ``float64`` timestamp and one ``int64`` author cell in the bin's scan
+#: columns (the post itself lives on disk).
 SPILLED_ENTRY_BYTES = 24
 
 #: One SimHash table entry: a dict slot in a bucket plus the key/fingerprint
@@ -86,7 +88,7 @@ def estimate_posts_bytes(posts: Iterable[Post]) -> int:
 
 def estimate_bin_bytes(bin_) -> int:
     """Accounted bytes of one window bin, either flavour: a tiered bin
-    reports its own head/stub accounting, a plain :class:`PostBin` is
+    reports its own head/column accounting, a plain :class:`PostBin` is
     charged per resident post."""
     approx = getattr(bin_, "approx_bytes", None)
     if approx is not None:

@@ -17,10 +17,24 @@ The bin is a drop-in replacement for :class:`PostBin`: same methods, same
 *exact* eviction/len accounting, and iteration yields equal posts in the
 same order (segments are pickled, and ``Post`` is a frozen value type), so
 coverage verdicts — and hence receiver sets and checkpoints — are
-byte-identical to the all-in-memory store. What spilling trades away is
-scan locality: a coverage scan that runs past the head faults segments back
-in one file at a time (a one-segment decode cache keeps duplicate-heavy
-streams cheap).
+byte-identical to the all-in-memory store.
+
+What stays resident of a spilled post is exactly what the coverage
+predicate reads: its fingerprint, timestamp and author, as three 8-byte
+cells of a :class:`~repro.simhash.coverage.CoverageKernel` (the *mirror*,
+fed on spill, advanced on expiry). A newest-first coverage scan is a
+scalar loop over the head plus one vectorized probe of those columns, and
+expiry reads the timestamp column — neither opens a segment file. Files
+are read only by the paths that need whole posts: iteration (checkpoints,
+snapshots, ``admitted_posts``), ``merge``, ``remove_authored`` and the
+oldest-first ablation scan.
+
+A post the columns cannot hold exactly (the ``type(...) is`` guards of
+:func:`repro.parallel.shm._row_encodable`: fingerprint outside
+``[0, 2**64)``, author outside int64, a non-``float`` timestamp) makes the
+bin drop its mirror when that post spills. Scans and expiry then read the
+segment files (a one-segment decode cache softens it) until the cold tier
+next empties, which starts a fresh mirror.
 """
 
 from __future__ import annotations
@@ -35,11 +49,14 @@ from itertools import chain, count
 
 from ..core.post import Post
 from ..errors import ConfigurationError
+from ..simhash.coverage import CoverageKernel
 from .accounting import (
     DEQUE_SLOT_BYTES,
     POST_BASE_BYTES,
     SPILLED_ENTRY_BYTES,
 )
+
+_I64_MIN, _I64_MAX, _U64_MAX = -(2**63), 2**63 - 1, 2**64 - 1
 
 #: Process-wide segment file counter; combined with the pid it keeps file
 #: names unique even when many bins (or sharded worker processes) share one
@@ -100,23 +117,23 @@ class SpillConfig:
 
 
 class _Segment:
-    """One on-disk run of posts plus its in-memory timestamp stubs.
+    """One on-disk run of ``count`` posts.
 
     ``start`` is the cursor of the expired prefix: posts before it are
     logically gone (they were counted as evictions) but stay in the file
     until the whole segment expires and the file is unlinked.
     """
 
-    __slots__ = ("path", "timestamps", "start")
+    __slots__ = ("path", "count", "start")
 
-    def __init__(self, path: str, timestamps: list[float]):
+    def __init__(self, path: str, count: int):
         self.path = path
-        self.timestamps = timestamps
+        self.count = count
         self.start = 0
 
     @property
     def live(self) -> int:
-        return len(self.timestamps) - self.start
+        return self.count - self.start
 
 
 def _cleanup_paths(paths: set[str]) -> None:
@@ -150,6 +167,19 @@ class _TieredView:
         return self._bin._iter_newest_first()
 
 
+def _mirrorable(post: Post) -> bool:
+    # ``type(...) is`` on purpose, as in ``repro.parallel.shm._row_encodable``:
+    # numpy would quietly store a bool author or an int timestamp, and the
+    # column would no longer compare like the post it stands for.
+    return (
+        type(post.fingerprint) is int
+        and 0 <= post.fingerprint <= _U64_MAX
+        and type(post.timestamp) is float
+        and type(post.author) is int
+        and _I64_MIN <= post.author <= _I64_MAX
+    )
+
+
 class TieredPostBin:
     """A :class:`~repro.core.bins.PostBin` with a bounded in-memory head.
 
@@ -163,6 +193,8 @@ class TieredPostBin:
         "_config",
         "_head",
         "_segments",
+        "_cold_len",
+        "_mirror",
         "_cache_path",
         "_cache_posts",
         "_dir_ready",
@@ -175,6 +207,12 @@ class TieredPostBin:
         self._config = config
         self._head: deque[Post] = deque()
         self._segments: list[_Segment] = []
+        self._cold_len = 0
+        # Columns of the live spilled entries, oldest first, one row per
+        # entry. None with an empty cold tier: nothing spilled yet. None
+        # with a non-empty one: an unmirrorable post spilled, and the bin
+        # reads segment files until the cold tier drains.
+        self._mirror: CoverageKernel | None = None
         self._cache_path: str | None = None
         self._cache_posts: list[Post] | None = None
         self._dir_ready = False
@@ -186,7 +224,7 @@ class TieredPostBin:
     # -- PostBin API -------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._head) + sum(seg.live for seg in self._segments)
+        return len(self._head) + self._cold_len
 
     def __iter__(self) -> Iterator[Post]:
         return self._iter_oldest_first()
@@ -195,6 +233,14 @@ class TieredPostBin:
     def data(self) -> _TieredView:
         """Arrival-ordered read view (see :attr:`PostBin.data`)."""
         return _TieredView(self)
+
+    def scan_tiers(self) -> tuple[deque[Post] | _TieredView, CoverageKernel | None]:
+        """The head to walk and the spilled columns to probe after it
+        (see :meth:`PostBin.scan_tiers`). Without a mirror the "head" is
+        the whole bin, segment files included."""
+        if self._mirror is None and self._cold_len:
+            return self.data, None
+        return self._head, self._mirror
 
     def append(self, post: Post) -> None:
         """Store ``post`` as the newest entry, spilling the cold prefix of
@@ -227,19 +273,16 @@ class TieredPostBin:
         """
         cutoff = now - lambda_t
         dropped = 0
-        segments = self._segments
-        while segments and segments[0].timestamps[-1] < cutoff:
-            seg = segments.pop(0)
-            dropped += seg.live
-            self._discard(seg)
-        if segments:
-            seg = segments[0]
-            timestamps = seg.timestamps
-            start = seg.start
-            while timestamps[start] < cutoff:
-                start += 1
-                dropped += 1
-            seg.start = start
+        if self._cold_len:
+            mirror = self._mirror
+            if mirror is not None:
+                dropped = mirror.count_older(cutoff)
+            else:
+                dropped = self._count_older_on_disk(cutoff)
+            if dropped:
+                self._drop_cold(dropped)
+            if self._cold_len:
+                return dropped
         head = self._head
         while head and head[0].timestamp < cutoff:
             head.popleft()
@@ -249,9 +292,7 @@ class TieredPostBin:
     def clear(self) -> int:
         """Remove everything (and its segment files); return the count."""
         dropped = len(self)
-        for seg in self._segments:
-            self._discard(seg)
-        self._segments.clear()
+        self._drop_cold(self._cold_len)
         self._head.clear()
         return dropped
 
@@ -296,21 +337,19 @@ class TieredPostBin:
     @property
     def spilled_len(self) -> int:
         """Live posts currently resident in spill segments."""
-        return sum(seg.live for seg in self._segments)
+        return self._cold_len
 
     @property
     def segment_count(self) -> int:
         return len(self._segments)
 
     def approx_bytes(self) -> int:
-        """Accounted in-memory bytes: full posts for the head, timestamp
-        stubs for spilled entries (their payload lives on disk)."""
+        """Accounted in-memory bytes: full posts for the head, three
+        column cells for each spilled entry (its payload lives on disk)."""
         total = sum(
             POST_BASE_BYTES + len(p.text) + DEQUE_SLOT_BYTES for p in self._head
         )
-        for seg in self._segments:
-            total += seg.live * SPILLED_ENTRY_BYTES
-        return total
+        return total + self._cold_len * SPILLED_ENTRY_BYTES
 
     def dispose(self) -> None:
         """Drop all state and unlink segment files now (idempotent)."""
@@ -335,7 +374,48 @@ class TieredPostBin:
             pickle.dump(chunk, fh, protocol=pickle.HIGHEST_PROTOCOL)
         os.replace(tmp, path)
         self._paths.add(path)
-        self._segments.append(_Segment(path, [p.timestamp for p in chunk]))
+        self._segments.append(_Segment(path, len(chunk)))
+        mirror = self._mirror
+        if mirror is None and not self._cold_len:
+            mirror = self._mirror = CoverageKernel()
+        self._cold_len += len(chunk)
+        if mirror is not None:
+            for post in chunk:
+                if not _mirrorable(post):
+                    self._mirror = None
+                    break
+                mirror.append(post.fingerprint, post.timestamp, post.author)
+
+    def _drop_cold(self, n: int) -> None:
+        """Forget the ``n`` oldest spilled entries, unlinking the segment
+        files they empty; ``n == _cold_len`` empties the tier."""
+        self._cold_len -= n
+        if not self._cold_len:
+            self._mirror = None
+        elif self._mirror is not None:
+            self._mirror.drop_oldest(n)
+        segments = self._segments
+        while n:
+            seg = segments[0]
+            if n < seg.live:
+                seg.start += n
+                return
+            n -= seg.live
+            self._discard(segments.pop(0))
+
+    def _count_older_on_disk(self, cutoff: float) -> int:
+        """Mirror-less :meth:`CoverageKernel.count_older`: the leading run
+        of spilled posts older than ``cutoff``, read from the files."""
+        older = 0
+        for seg in self._segments:
+            posts = self._read(seg)
+            i = seg.start
+            while i < seg.count and posts[i].timestamp < cutoff:
+                i += 1
+            older += i - seg.start
+            if i < seg.count:
+                break
+        return older
 
     def _discard(self, seg: _Segment) -> None:
         self._paths.discard(seg.path)
@@ -369,9 +449,7 @@ class TieredPostBin:
                 yield posts[i]
 
     def _rewrite(self, posts: list[Post]) -> None:
-        for seg in self._segments:
-            self._discard(seg)
-        self._segments.clear()
+        self._drop_cold(self._cold_len)
         self._head = deque(posts)
         config = self._config
         while len(self._head) > config.head_limit:

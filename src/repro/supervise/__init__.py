@@ -19,6 +19,8 @@ pool survive the processes themselves failing:
   engines that use it.
 * :func:`shutdown_workers` — hardened pool teardown with terminate → kill
   escalation and join verification (shared by supervised and plain pools).
+* :func:`parent_commands` — the workers' command stream, which ends when
+  the parent process dies (a worker never outlives a SIGKILLed parent).
 
 Enable it with ``make_multiuser(..., supervised=True)`` or
 ``ParallelSharedMultiUser(..., supervised=True)`` /
@@ -30,6 +32,7 @@ from .supervisor import (
     ShardSupervisor,
     SupervisionConfig,
     WorkerProtocol,
+    parent_commands,
     shutdown_workers,
 )
 
@@ -38,5 +41,6 @@ __all__ = [
     "ShardSupervisor",
     "SupervisionConfig",
     "WorkerProtocol",
+    "parent_commands",
     "shutdown_workers",
 ]

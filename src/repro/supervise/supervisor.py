@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import os
 import random
+import select
 import time
 import weakref
 from collections.abc import Callable, Mapping
@@ -199,6 +200,38 @@ def _reap_process(process) -> None:
     if process.is_alive():
         process.kill()
         process.join(timeout=2.0)
+
+
+#: How often an idle worker looks whether its parent is still there.
+ORPHAN_CHECK_SECONDS = 0.5
+
+
+def parent_commands(conn):
+    """A worker's command stream: yields each message the parent sends
+    and ends when the pipe closes or the parent process is gone. Call it
+    first thing in the worker — the parent is whoever it is then.
+
+    A closed pipe alone does not tell: under ``fork`` a worker inherits
+    the parent's ends of its own and its elder siblings' pipes, so a
+    SIGKILLed parent never reads as EOF. Being re-parented does. The wait
+    is a bare ``poll(2)`` on the descriptor: ``conn.poll()`` builds a
+    selector per call, on the path of every batch.
+    """
+    parent_pid = os.getppid()
+    waiter = select.poll()
+    waiter.register(conn, select.POLLIN)
+
+    def commands():
+        while True:
+            while not waiter.poll(ORPHAN_CHECK_SECONDS * 1000):
+                if os.getppid() != parent_pid:
+                    return
+            try:
+                yield conn.recv()
+            except EOFError:
+                return
+
+    return commands()
 
 
 def shutdown_workers(processes, connections) -> None:

@@ -2,11 +2,60 @@
 
 from __future__ import annotations
 
+import os
+import time
+from pathlib import Path
+
 import pytest
 
 from repro.authors import AuthorGraph
 from repro.core import Post, Thresholds
 from repro.social import small_dataset
+
+
+def _live_descendants() -> dict[int, str]:
+    """pid -> command line of every live (non-zombie) descendant of this
+    process, the multiprocessing resource tracker excepted (it exits by
+    itself once the last process holding its pipe is gone)."""
+    children: dict[int, list[int]] = {}
+    for entry in Path("/proc").iterdir():
+        if not entry.name.isdigit():
+            continue
+        try:
+            fields = (entry / "stat").read_text().rsplit(")", 1)[1].split()
+        except OSError:
+            continue  # exited while we were looking
+        if fields[0] != "Z":
+            children.setdefault(int(fields[1]), []).append(int(entry.name))
+    found: dict[int, str] = {}
+    frontier = [os.getpid()]
+    while frontier:
+        for pid in children.get(frontier.pop(), ()):
+            frontier.append(pid)
+            try:
+                raw = Path(f"/proc/{pid}/cmdline").read_bytes()
+            except OSError:
+                continue
+            cmdline = raw.replace(b"\0", b" ").decode(errors="replace").strip()
+            if "resource_tracker" not in cmdline:
+                found[pid] = cmdline
+    return found
+
+
+@pytest.fixture(scope="session", autouse=True)
+def no_process_left_running():
+    """Fail the session if a test leaves a process behind: serve
+    subprocesses, shard workers and the like must be reaped by the test
+    that started them."""
+    yield
+    if not Path("/proc/self/stat").exists():
+        return
+    deadline = time.monotonic() + 2.0  # a worker told to stop may still be exiting
+    while (leaked := _live_descendants()) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not leaked, "processes left running by the test session: " + "; ".join(
+        f"pid {pid}: {cmdline}" for pid, cmdline in sorted(leaked.items())
+    )
 
 
 @pytest.fixture(scope="session")

@@ -112,6 +112,26 @@ class TestKernelProbe:
         assert kernel.probe(150, 0, lambda_c=0) == (True, 50)
         assert kernel.probe(149, 0, lambda_c=0) == (False, 50)
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(st.floats(min_value=0.0, max_value=100.0), max_size=80),
+        st.integers(min_value=0, max_value=40),
+        st.floats(min_value=-1.0, max_value=101.0),
+    )
+    def test_count_older_is_the_deque_expiry_loop(self, timestamps, dropped, cutoff):
+        """Leading run of ``timestamp < cutoff`` — sorted input or not."""
+        kernel = CoverageKernel()
+        for i, ts in enumerate(timestamps):
+            kernel.append(i, ts, 0)
+        dropped = min(dropped, len(timestamps))
+        kernel.drop_oldest(dropped)
+        expected = 0
+        for ts in timestamps[dropped:]:
+            if not ts < cutoff:
+                break
+            expected += 1
+        assert kernel.count_older(cutoff) == expected
+
     def test_oversized_probe_fingerprint_returns_none(self):
         kernel = CoverageKernel()
         kernel.append(1, 0.0, 0)
@@ -215,6 +235,33 @@ class TestEngineDifferential:
         for post in world.posts:
             assert vectorized.offer(post) == scalar.offer(post), post
         assert vectorized.stats.state_dict() == scalar.stats.state_dict()
+
+    @pytest.mark.parametrize("engine_name", ("unibin", "neighborbin", "cliquebin"))
+    @pytest.mark.parametrize("grid", GRID, ids=lambda g: "c{lambda_c}".format(**g))
+    @pytest.mark.parametrize("limit", (None, 3, 40))
+    def test_spilled_tier_columns_identical(self, tmp_path, engine_name, grid, limit):
+        """The other owner of a kernel: a tiered bin probes the columns of
+        what it spilled (here nearly everything) instead of reading it."""
+        from repro.storage import SpillConfig
+
+        if grid["lambda_a"] >= 1.0 and engine_name not in AUTHOR_FREE_ENGINES:
+            pytest.skip("engine requires the author dimension")
+        world = make_world(31, **grid)
+        storage = SpillConfig(str(tmp_path), head_limit=4, segment_size=4)
+        tiered = make_diversifier(
+            engine_name, world.thresholds, world.graph, storage=storage
+        )
+        previous = set_kernel_enabled(False)
+        try:
+            scalar = make_diversifier(engine_name, world.thresholds, world.graph)
+        finally:
+            set_kernel_enabled(previous)
+        for engine in (tiered, scalar):
+            engine.set_probe_limit(limit)
+        for post in world.posts:
+            assert tiered.offer(post) == scalar.offer(post), post
+        assert tiered.stats.state_dict() == scalar.stats.state_dict()
+        assert tiered.state_dict() == scalar.state_dict()
 
     def test_kernel_survives_checkpoint_restore(self):
         world = _dense_world(11, lambda_a=0.7)

@@ -216,3 +216,44 @@ def test_serve_exits_nonzero_when_shutdown_flush_fails(trace, tmp_path):
     assert proc.returncode == 1
     assert "durability flush FAILED" in err
     assert "durability: FLUSH FAILED" in out
+
+
+def test_sigterm_racing_incoming_connections_is_never_lost(trace):
+    """The kernel may deliver SIGTERM to a request thread; the main
+    thread must still notice and shut down (it used to stay parked in
+    ``Event.wait()`` about one time in six)."""
+    import socket
+    import threading
+    import time
+
+    for round_ in range(20):
+        proc, url = start_server(trace)
+        host, port = url.removeprefix("http://").split(":")
+        connected, done = threading.Event(), threading.Event()
+
+        def client():
+            while not done.is_set():
+                try:
+                    conn = socket.create_connection((host, int(port)), timeout=1)
+                except OSError:
+                    return  # the listener is gone: the server is stopping
+                connected.set()
+                done.wait(0.002)
+                conn.close()
+
+        thread = threading.Thread(target=client)
+        thread.start()
+        try:
+            assert connected.wait(5.0)
+            start = time.monotonic()
+            proc.send_signal(signal.SIGTERM)
+            out, err = proc.communicate(timeout=5.0)
+            elapsed = time.monotonic() - start
+        finally:
+            done.set()
+            thread.join(timeout=5.0)
+            proc.kill()
+            proc.communicate()
+        assert proc.returncode == 0, f"round {round_}: {err}"
+        assert "feed: 0 posts received" in out
+        assert elapsed < 5.0

@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.simhash import hamming, hamming_bulk, within
+from repro.simhash import hamming, hamming_bulk, popcount64, within
 
 fingerprints = st.integers(min_value=0, max_value=2**64 - 1)
 
@@ -52,6 +52,18 @@ class TestWithin:
         assert within(a, b, t) == (hamming(a, b) <= t)
 
 
+class TestPopcount64:
+    def test_edge_words(self):
+        words = [0, 1, 2**63, 2**64 - 1]
+        counts = popcount64(np.array(words, dtype=np.uint64))
+        assert counts.tolist() == [word.bit_count() for word in words] == [0, 1, 1, 64]
+
+    @given(st.lists(fingerprints, max_size=100))
+    def test_matches_int_bit_count(self, words):
+        counts = popcount64(np.array(words, dtype=np.uint64))
+        assert counts.tolist() == [word.bit_count() for word in words]
+
+
 class TestHammingBulk:
     def test_empty(self):
         empty = np.array([], dtype=np.uint64)
@@ -61,6 +73,11 @@ class TestHammingBulk:
         a = np.array([0b1010, 0, 2**64 - 1], dtype=np.uint64)
         b = np.array([0b0110, 0, 0], dtype=np.uint64)
         assert hamming_bulk(a, b).tolist() == [2, 0, 64]
+
+    def test_distances_are_wide_enough_to_subtract(self):
+        a = np.array([0, 2**64 - 1], dtype=np.uint64)
+        distances = hamming_bulk(a, a[::-1])
+        assert (distances - 65).tolist() == [-1, -1]
 
     @given(st.lists(fingerprints, min_size=1, max_size=50))
     def test_matches_scalar(self, values):
