@@ -46,10 +46,10 @@ import argparse
 import sys
 from pathlib import Path
 
-from .eval import ABLATIONS, EXPERIMENTS, SCALES
-
 
 def _experiment_parser() -> argparse.ArgumentParser:
+    from .eval import SCALES
+
     parser = argparse.ArgumentParser(
         prog="firehose",
         description=(
@@ -573,7 +573,8 @@ def _run_serve(argv: list[str]) -> int:
     # signal to a request thread, and the Python-level handler runs only
     # when the main thread next executes bytecode — which a main thread
     # parked on a lock without a timeout never does. A signal that does
-    # land on the main thread still interrupts the wait at once.
+    # land on the main thread still interrupts the wait at once, so 0.1 s
+    # bounds only the rare late case and need not match the server's poll.
     while not stopping.wait(0.1):
         pass
     server.stop()
@@ -626,6 +627,8 @@ def _run_serve(argv: list[str]) -> int:
 
 
 def _generate_parser() -> argparse.ArgumentParser:
+    from .eval import SCALES
+
     parser = argparse.ArgumentParser(
         prog="firehose generate",
         description="Generate a synthetic trace (posts/graph/subscriptions)",
@@ -1400,6 +1403,8 @@ def _run_experiments(argv: list[str]) -> int:
 
 
 def _report_parser() -> argparse.ArgumentParser:
+    from .eval import SCALES
+
     parser = argparse.ArgumentParser(
         prog="firehose report",
         description="Regenerate the full evaluation as one markdown report",
@@ -1428,6 +1433,8 @@ def _run_report(argv: list[str]) -> int:
 
 
 def _all_runners() -> dict[str, object]:
+    from .eval import ABLATIONS, EXPERIMENTS
+
     runners: dict[str, object] = dict(EXPERIMENTS)
     runners.update(ABLATIONS)
     return runners

@@ -90,8 +90,9 @@ def receivers_digest(receivers) -> list[int]:
     """
     return [len(receivers), sum(receivers) & _DIGEST_MASK]
 
-#: Bumped on incompatible feed-snapshot layout changes.
-FEED_SNAPSHOT_VERSION = 1
+#: Bumped on incompatible feed-snapshot layout changes (2: the mailbox
+#: store writes each entry once, in a table its boxes name by seq).
+FEED_SNAPSHOT_VERSION = 2
 
 SNAPSHOT_PREFIX = "snapshot-"
 SNAPSHOT_SUFFIX = ".ckpt"
@@ -154,7 +155,8 @@ class SnapshotStore:
     :func:`~repro.storage.framing.write_framed` (temp + fsync + rename
     under a length+CRC header) — a crash mid-save leaves the previous
     snapshot intact, and a snapshot damaged at rest fails its CRC on
-    load instead of restoring garbage.
+    load instead of restoring garbage. Each file's ``wal_segment`` is
+    remembered once saved or loaded, so pruning never re-reads it.
     """
 
     def __init__(self, directory: str | Path, *, keep: int = 2, fault_plan=None):
@@ -162,6 +164,16 @@ class SnapshotStore:
         self.directory.mkdir(parents=True, exist_ok=True)
         self.keep = keep
         self.fault_plan = fault_plan
+        #: file name -> the WAL segment its replay starts at (1: unreadable)
+        self._floors: dict[str, int] = {}
+
+    def _read(self, path: Path):
+        """``read_framed(path)``, remembering the snapshot's WAL floor."""
+        self._floors[path.name] = 1
+        payload = read_framed(path)
+        if isinstance(payload, dict):
+            self._floors[path.name] = int(payload.get("wal_segment", 1))
+        return payload
 
     def list(self) -> list[Path]:
         """Snapshot files ascending by index."""
@@ -186,9 +198,24 @@ class SnapshotStore:
             self.fault_plan.on_snapshot()
         path = snapshot_path(self.directory, self.next_index())
         write_framed(path, payload)
+        self._floors[path.name] = int(payload.get("wal_segment", 1))
         for old in self.list()[: -self.keep]:
             old.unlink()
         return path
+
+    def wal_floor(self) -> int:
+        """Lowest WAL segment a retained snapshot replays from — segments
+        below it are safe to prune. 1 (prune nothing) while any retained
+        snapshot is unreadable."""
+        retained = self.list()
+        for path in retained:
+            if path.name not in self._floors:
+                try:
+                    self._read(path)
+                except CheckpointError:
+                    pass
+        self._floors = {p.name: self._floors[p.name] for p in retained}
+        return min(self._floors.values(), default=1)
 
     def load_best(self) -> tuple[dict | None, Path | None, list[tuple[str, str]]]:
         """Newest snapshot that passes validation.
@@ -201,17 +228,14 @@ class SnapshotStore:
         skipped: list[tuple[str, str]] = []
         for path in reversed(self.list()):
             try:
-                payload = read_framed(path)
+                payload = self._read(path)
             except CheckpointError as error:
                 skipped.append((path.name, str(error)))
                 continue
-            if (
-                not isinstance(payload, dict)
-                or payload.get("version") != FEED_SNAPSHOT_VERSION
-            ):
-                skipped.append(
-                    (path.name, f"unsupported feed snapshot: {type(payload)}")
-                )
+            version = payload.get("version") if isinstance(payload, dict) else None
+            if version != FEED_SNAPSHOT_VERSION:
+                reason = f"unsupported feed snapshot version {version!r}"
+                skipped.append((path.name, reason))
                 continue
             return payload, path, skipped
         return None, None, skipped
@@ -372,15 +396,7 @@ class DurableFeedLog:
         self.snapshots_taken += 1
         self._since_snapshot = 0
         self.last_snapshot_seconds = time.perf_counter() - start
-        retained = self.snapshots.list()
-        if retained:
-            floors = []
-            for snap in retained:
-                try:
-                    floors.append(int(read_framed(snap).get("wal_segment", 1)))
-                except CheckpointError:
-                    floors.append(1)  # unreadable snapshot: prune nothing past it
-            self.wal.prune_segments(min(floors))
+        self.wal.prune_segments(self.snapshots.wal_floor())
         return path
 
     def maybe_snapshot(self, feed) -> Path | None:

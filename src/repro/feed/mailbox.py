@@ -37,7 +37,7 @@ from itertools import count
 from threading import RLock
 
 from ..core.post import Post
-from ..errors import ConfigurationError, UnknownUserError
+from ..errors import CheckpointError, ConfigurationError, UnknownUserError
 from ..storage.accounting import estimate_mailbox_bytes
 
 
@@ -182,23 +182,24 @@ class Mailbox:
         return recorded, ignored
 
     def state_dict(self) -> dict[str, object]:
-        """JSON-able snapshot of this mailbox (entries in seq order)."""
+        """JSON-able snapshot of this mailbox (seqs into the store's table)."""
         return {
-            "entries": [
-                [e.seq, e.post_id, e.author, e.timestamp] for e in self.entries
-            ],
+            "seqs": [e.seq for e in self.entries],
             "seen": sorted(self.seen),
             "evicted_capacity": self.evicted_capacity,
             "evicted_expired": self.evicted_expired,
         }
 
     @classmethod
-    def from_state(cls, state: dict[str, object]) -> "Mailbox":
+    def from_state(cls, state: dict, table: dict[int, FeedEntry]) -> "Mailbox":
         box = cls()
-        for seq, post_id, author, timestamp in state["entries"]:
-            box.entries.append(
-                FeedEntry(int(seq), int(post_id), int(author), float(timestamp))
-            )
+        try:
+            box.entries.extend(table[seq] for seq in state["seqs"])
+        except KeyError as missing:
+            raise CheckpointError(
+                f"snapshot mailbox names seq {missing.args[0]}, which its "
+                "entry table does not hold"
+            ) from None
         box.seen = {int(s) for s in state["seen"]}
         box.evicted_capacity = int(state.get("evicted_capacity", 0))
         box.evicted_expired = int(state.get("evicted_expired", 0))
@@ -346,12 +347,18 @@ class MailboxStore:
     def state_dict(self) -> dict[str, object]:
         """JSON-able snapshot of the whole store, including the next
         sequence number — :meth:`load_state` restores it byte-identically
-        (the durability differential harness compares exactly this)."""
+        (the durability differential harness compares exactly this). Each
+        live entry is written once, in ``entries``; a box lists its seqs."""
         with self._lock:
             next_seq = next(self._seq)
             self._seq = count(next_seq)  # peeking consumed one; re-arm
+            table = {e.seq: e for box in self._boxes.values() for e in box.entries}
             return {
                 "next_seq": next_seq,
+                "entries": [
+                    [e.seq, e.post_id, e.author, e.timestamp]
+                    for _, e in sorted(table.items())
+                ],
                 "boxes": {
                     str(user): box.state_dict()
                     for user, box in sorted(self._boxes.items())
@@ -366,8 +373,12 @@ class MailboxStore:
         """Replace all mailbox contents with ``state`` (from
         :meth:`state_dict`). The user set and config are *not* part of the
         state — they come from the deployment, and a snapshot naming a
-        user outside it is rejected."""
+        user outside it is rejected. Boxes share entries, as in :meth:`fanout`."""
         with self._lock:
+            table = {
+                int(s): FeedEntry(int(s), int(p), int(a), float(t))
+                for s, p, a, t in state["entries"]
+            }
             boxes: dict[int, Mailbox] = {}
             entries = seen = 0
             for user_key, box_state in state["boxes"].items():
@@ -377,7 +388,7 @@ class MailboxStore:
                         f"snapshot names user {user}, who is not subscribed "
                         "in this deployment"
                     )
-                box = Mailbox.from_state(box_state)
+                box = Mailbox.from_state(box_state, table)
                 boxes[user] = box
                 entries += len(box.entries)
                 seen += len(box.seen)

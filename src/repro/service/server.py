@@ -42,6 +42,10 @@ from .latency import (
     simulate_queueing,
 )
 
+#: How often the serving thread checks for a shutdown request. ``stop()``
+#: waits out up to one interval, so it is far below the stdlib's 0.5 s.
+SHUTDOWN_POLL_S = 0.05
+
 
 class DiversificationService:
     """Latency-instrumented wrapper around a diversification engine.
@@ -517,6 +521,7 @@ class MetricsServer:
         self._httpd = ThreadingHTTPServer((self._host, self._port), Handler)
         self._thread = threading.Thread(
             target=self._httpd.serve_forever,
+            kwargs={"poll_interval": SHUTDOWN_POLL_S},
             name=self.thread_name,
             daemon=True,
         )

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import socket
+import time
 import urllib.error
 import urllib.request
 
@@ -78,6 +79,17 @@ def test_stop_releases_the_port():
         socket.create_connection((host, port), timeout=0.5).close()
     with pytest.raises(RuntimeError):
         _ = server.address
+
+
+def test_stop_after_a_scrape_returns_within_the_shutdown_poll():
+    # The serving thread re-enters its poll right after handing the scrape
+    # to a request thread, so stop() waits out nearly one whole interval.
+    server = MetricsServer(Registry())
+    server.start()
+    assert _get(server.url + "/healthz") == b"ok\n"
+    started = time.monotonic()
+    server.stop()
+    assert time.monotonic() - started < 0.4
 
 
 def test_explicit_registry_is_served():

@@ -34,3 +34,26 @@ class TestModuleEntryPoint:
         # with --help.
         assert result.returncode == 0
         assert "Reproduce experiments" in result.stdout
+
+    def test_serve_does_not_import_the_evaluation_harness(self):
+        # -X importtime lists every module the process imported, one per
+        # stderr line, ending with its dotted name.
+        result = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "repro", "serve", "--help"],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 0
+        assert "--wal-dir" in result.stdout
+        imported = {
+            line.rsplit("|", 1)[-1].strip()
+            for line in result.stderr.splitlines()
+            if line.startswith("import time:")
+        }
+        assert "repro.cli" in imported and "repro.feed" in imported
+        assert not {
+            name
+            for name in imported
+            if name.split(".")[:2] in (["repro", "eval"], ["repro", "social"])
+        }
