@@ -5,8 +5,10 @@ notes that doing so for the full 660k graph "would be prohibitive". Binary
 cosine over followee sets only produces a non-zero similarity for author
 pairs that share at least one followee, so instead of the naive O(m²) loop
 we build an inverted index ``followee -> followers-of-that-followee`` and
-only score co-occurring pairs. On sparse social graphs this is orders of
-magnitude fewer pairs.
+only score co-occurring pairs. That skips only the pairs with no shared
+followee, which on the synthetic presets is the minority: co-follow pairs
+are 59–80% of all author pairs (80% at ``small``, 59% at ``large``), so
+the scoring work stays close to quadratic in the number of authors.
 """
 
 from __future__ import annotations

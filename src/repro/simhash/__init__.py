@@ -10,7 +10,6 @@ Public surface:
 * :class:`CoverageKernel` — vectorized newest-first window probe.
 """
 
-from .batch import clear_row_cache, simhash_batch, simhash_one
 from .cosine import TfVector, cosine_distance, cosine_similarity
 from .coverage import (
     CoverageKernel,
@@ -52,7 +51,6 @@ __all__ = [
     "simhash_preprocessed",
     "weighted_features",
     "block_bounds",
-    "clear_row_cache",
     "clear_token_cache",
     "cosine_distance",
     "cosine_similarity",
@@ -69,9 +67,7 @@ __all__ = [
     "set_kernel_enabled",
     "shingles",
     "simhash",
-    "simhash_batch",
     "simhash_from_features",
-    "simhash_one",
     "strip_short_urls",
     "token_cache_size",
     "within",

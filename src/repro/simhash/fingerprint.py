@@ -7,6 +7,26 @@ where it is 0 — and the fingerprint's *i*-th bit is 1 iff accumulator *i* is
 positive. Texts sharing most features agree on most bits, so the Hamming
 distance of two fingerprints tracks the cosine distance of the texts.
 
+:func:`simhash_from_features` is the one implementation every caller shares
+(:func:`simhash`, :func:`~repro.simhash.simhash_preprocessed` and
+``Post.create``). It is a single numpy kernel over the ``n`` features:
+
+1. the token hashes go into a little-endian ``'<u8'`` array, so byte *k* of
+   each row holds hash bits ``8k … 8k+7`` whatever the host's byte order;
+2. ``np.unpackbits(..., bitorder="little")`` turns them into an ``(n, 64)``
+   bit matrix whose column *i* is hash bit *i*;
+3. ``np.where(bits, w, -w).sum(axis=0)`` builds the 64 accumulators from the
+   float64 weights;
+4. ``np.packbits(acc > 0, bitorder="little")`` packs the sign bits back.
+
+Step 3 is exact, not merely close: summing over axis 0 of a C-ordered
+matrix adds whole rows one after another, in feature (dict) order, so each
+accumulator sees the same float64 additions in the same order as a scalar
+``acc[bit] += ±weight`` loop — integer and float weights alike. (Only the
+sign of a zero can differ, which ``> 0`` does not see.) A ``w @ bits``
+product would promise no summation order. The tests keep that scalar loop
+as the reference the kernel must match bit for bit.
+
 The paper fingerprints both raw and normalised tweet text (its Figures 3 and
 4); :func:`simhash` exposes the same switch.
 """
@@ -15,7 +35,9 @@ from __future__ import annotations
 
 import time
 
-from .hashing import MASK64, hash_token
+import numpy as np
+
+from .hashing import hash_token
 from .normalize import normalize
 from .tokenize import feature_counts
 
@@ -60,21 +82,15 @@ def simhash_from_features(weighted_features: dict[str, int] | dict[str, float]) 
     Exposed separately so callers with custom feature extraction (e.g. the
     hashtag-reweighting ablation) can reuse the bit-accumulation core.
     """
-    if not weighted_features:
+    n = len(weighted_features)
+    if not n:
         return EMPTY_FINGERPRINT
-    acc = [0.0] * FINGERPRINT_BITS
-    for feature, weight in weighted_features.items():
-        h = hash_token(feature)
-        for bit in range(FINGERPRINT_BITS):
-            if (h >> bit) & 1:
-                acc[bit] += weight
-            else:
-                acc[bit] -= weight
-    fingerprint = 0
-    for bit in range(FINGERPRINT_BITS):
-        if acc[bit] > 0:
-            fingerprint |= 1 << bit
-    return fingerprint & MASK64
+    hashes = np.fromiter(map(hash_token, weighted_features), dtype="<u8", count=n)
+    bits = np.unpackbits(hashes.view(np.uint8), bitorder="little").reshape(n, -1)
+    w = np.fromiter(weighted_features.values(), dtype=np.float64, count=n)[:, None]
+    acc = np.where(bits, w, -w).sum(axis=0)
+    packed = np.packbits(acc > 0, bitorder="little")
+    return int.from_bytes(packed.tobytes(), "little")
 
 
 def simhash(text: str, *, normalized: bool = True, shingle_width: int = 2) -> int:

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from hashlib import blake2b
 
-MASK64 = (1 << 64) - 1
-
 # Token-hash memo shared by all fingerprinting calls. Vocabulary in a
 # microblog stream is small relative to the number of token occurrences, so
 # this cache has a very high hit rate; it is capped to keep long-running

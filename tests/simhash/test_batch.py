@@ -1,12 +1,11 @@
-"""Tests for repro.simhash.batch — vectorised fingerprinting."""
+"""The SimHash kernel against the scalar reference loop on generated texts."""
 
 import random
 
-import numpy as np
-
-from repro.simhash import simhash
-from repro.simhash.batch import clear_row_cache, simhash_batch, simhash_one
+from repro.simhash import feature_counts, normalize, simhash
 from repro.social import TextGenerator, Vocabulary
+
+from .reference import simhash_from_features as reference
 
 
 def sample_texts(n=60, seed=3):
@@ -19,43 +18,31 @@ def sample_texts(n=60, seed=3):
     ]
 
 
+def reference_simhash(text, *, normalized=True, shingle_width=2):
+    if normalized:
+        text = normalize(text)
+    return reference(feature_counts(text, shingle_width))
+
+
 class TestBitExactness:
     def test_matches_scalar_on_generated_texts(self):
         for text in sample_texts():
-            assert simhash_one(text) == simhash(text)
+            assert simhash(text) == reference_simhash(text)
 
     def test_matches_scalar_raw_mode(self):
         for text in sample_texts(20, seed=9):
-            assert simhash_one(text, normalized=False) == simhash(
+            assert simhash(text, normalized=False) == reference_simhash(
                 text, normalized=False
             )
 
     def test_matches_scalar_other_shingle_width(self):
         for text in sample_texts(20, seed=11):
-            assert simhash_one(text, shingle_width=3) == simhash(
+            assert simhash(text, shingle_width=3) == reference_simhash(
                 text, shingle_width=3
             )
 
     def test_empty_text(self):
-        assert simhash_one("") == simhash("")
+        assert simhash("") == reference_simhash("")
 
     def test_single_token(self):
-        assert simhash_one("solo") == simhash("solo")
-
-
-class TestBatch:
-    def test_batch_matches_scalar(self):
-        texts = sample_texts(30, seed=5)
-        batch = simhash_batch(texts)
-        assert batch.dtype == np.uint64
-        assert batch.tolist() == [simhash(t) for t in texts]
-
-    def test_empty_batch(self):
-        assert simhash_batch([]).size == 0
-
-    def test_cache_survives_clear(self):
-        texts = sample_texts(5, seed=7)
-        first = simhash_batch(texts)
-        clear_row_cache()
-        second = simhash_batch(texts)
-        assert first.tolist() == second.tolist()
+        assert simhash("solo") == reference_simhash("solo")

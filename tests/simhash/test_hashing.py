@@ -6,7 +6,7 @@ import sys
 from pathlib import Path
 
 import repro
-from repro.simhash import clear_token_cache, hash_token, token_cache_size
+from repro.simhash import clear_token_cache, hash_token, simhash, token_cache_size
 
 
 class TestHashToken:
@@ -30,11 +30,13 @@ class TestHashToken:
 
     def test_known_stability_across_processes(self):
         """Fingerprints must not depend on PYTHONHASHSEED — compute the same
-        token hash in a fresh interpreter with a different hash seed."""
-        expected = hash_token("stability-probe")
+        token hash and the same whole-text fingerprint in a fresh interpreter
+        with a different hash seed."""
+        text = "Stocks fall sharply after the central bank raises rates again"
+        expected = f"{hash_token('stability-probe')} {simhash(text)}"
         code = (
-            "from repro.simhash import hash_token;"
-            "print(hash_token('stability-probe'))"
+            "from repro.simhash import hash_token, simhash;"
+            f"print(hash_token('stability-probe'), simhash({text!r}))"
         )
         # The child env is minimal by design (we control PYTHONHASHSEED),
         # but it must still find the package: propagate the path the
@@ -49,10 +51,12 @@ class TestHashToken:
                     "PYTHONHASHSEED": seed,
                     "PATH": os.environ.get("PATH", "/usr/bin:/bin"),
                     "PYTHONPATH": package_path,
+                    # Write no __pycache__ into the source tree.
+                    "PYTHONDONTWRITEBYTECODE": "1",
                 },
                 check=True,
             )
-            assert int(out.stdout.strip()) == expected
+            assert out.stdout.strip() == expected
 
     def test_avalanche(self):
         """Single-character changes should flip roughly half the bits."""
