@@ -1,12 +1,16 @@
 """Command-line interface.
 
-Three modes:
+Six commands:
 
-* **experiments** — regenerate any paper figure/table::
+* **figures** — regenerate any paper figure/table by its experiment id::
 
       python -m repro list
       python -m repro figure11 --scale medium
       python -m repro all
+
+* **report** — regenerate the whole evaluation as one markdown file::
+
+      python -m repro report --output results.md
 
 * **diversify** — run an algorithm over a JSONL post trace::
 
@@ -18,6 +22,10 @@ Three modes:
 
       python -m repro diversify --events events.jsonl --friends friends.json \
           --algorithm cliquebin --subscriptions subscriptions.json
+
+  ``--subscriptions`` switches either input to a multi-user engine that
+  emits per-post receiver sets. All four modes run through one runner;
+  ``_DIVERSIFY_CONFLICTS`` lists the flags each mode rejects.
 
 * **generate** — emit a synthetic trace (posts + graph + subscriptions)
   for trying the tool without your own data::
@@ -70,39 +78,9 @@ def _experiment_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _diversify_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="firehose diversify",
-        description="Diversify a JSONL post trace with an SPSD algorithm",
-    )
-    parser.add_argument("--posts", help="input posts.jsonl")
-    parser.add_argument(
-        "--events",
-        help="mixed events.jsonl (post/follow/unfollow records): run in "
-        "dynamic mode, deriving the author graph from --friends and "
-        "migrating live state on every effective topology change",
-    )
-    parser.add_argument(
-        "--graph",
-        help="author graph.json; omit only with --lambda-a 1 (author dim off)",
-    )
-    parser.add_argument(
-        "--friends",
-        help="friends.json (author -> followees): the initial follow "
-        "relation dynamic mode cuts its similarity graph from (required "
-        "with --events)",
-    )
-    parser.add_argument(
-        "--algorithm",
-        default="unibin",
-        help="unibin | neighborbin | cliquebin | indexed_unibin; with "
-        "--subscriptions also multi-user names (m_*, s_*, p_*)",
-    )
-    parser.add_argument(
-        "--subscriptions",
-        help="subscriptions.json: run in multi-user mode, emitting per-post "
-        "receiver sets instead of a single diversified trace",
-    )
+def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
+    """The engine flags ``diversify`` and ``serve`` share: sharding,
+    supervision, memory and the three thresholds."""
     parser.add_argument(
         "--workers",
         type=int,
@@ -169,6 +147,42 @@ def _diversify_parser() -> argparse.ArgumentParser:
     parser.add_argument("--lambda-c", type=int, default=18, help="content bits")
     parser.add_argument("--lambda-t", type=float, default=1800.0, help="seconds")
     parser.add_argument("--lambda-a", type=float, default=0.7, help="author distance")
+
+
+def _diversify_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="firehose diversify",
+        description="Diversify a JSONL post trace with an SPSD algorithm",
+    )
+    parser.add_argument("--posts", help="input posts.jsonl")
+    parser.add_argument(
+        "--events",
+        help="mixed events.jsonl (post/follow/unfollow records): run in "
+        "dynamic mode, deriving the author graph from --friends and "
+        "migrating live state on every effective topology change",
+    )
+    parser.add_argument(
+        "--graph",
+        help="author graph.json; omit only with --lambda-a 1 (author dim off)",
+    )
+    parser.add_argument(
+        "--friends",
+        help="friends.json (author -> followees): the initial follow "
+        "relation dynamic mode cuts its similarity graph from (required "
+        "with --events)",
+    )
+    parser.add_argument(
+        "--algorithm",
+        default="unibin",
+        help="unibin | neighborbin | cliquebin | indexed_unibin; with "
+        "--subscriptions also multi-user names (m_*, s_*, p_*)",
+    )
+    parser.add_argument(
+        "--subscriptions",
+        help="subscriptions.json: run in multi-user mode, emitting per-post "
+        "receiver sets instead of a single diversified trace",
+    )
+    _add_engine_flags(parser)
     parser.add_argument("--output", help="write the diversified trace here (JSONL)")
     parser.add_argument(
         "--on-error",
@@ -299,6 +313,56 @@ def _supervision_kwargs(args) -> dict:
     }
 
 
+def _make_multiuser(
+    args, thresholds, graph, subscriptions, *, dynamic=False, friends=None
+):
+    """The multi-user engine ``--algorithm`` names, or None after printing
+    why it cannot be built (the caller exits 2).
+
+    A bare algorithm name picks its sharded ``p_*`` engine, so
+    ``--workers`` decides the layout. ``dynamic``/``friends`` go through
+    to :func:`~repro.multiuser.make_multiuser` for churn traces."""
+    from .core import ALGORITHMS
+    from .errors import ConfigurationError
+    from .multiuser import MULTIUSER_NAMES, PARALLEL_NAMES, make_multiuser
+
+    name = args.algorithm
+    if name in ALGORITHMS:
+        name = f"p_{name}"
+    if name not in MULTIUSER_NAMES + PARALLEL_NAMES:
+        print(
+            f"unknown multi-user algorithm {args.algorithm!r}; choose a "
+            f"bare algorithm ({', '.join(ALGORITHMS)}) or one of "
+            f"{MULTIUSER_NAMES + PARALLEL_NAMES}",
+            file=sys.stderr,
+        )
+        return None
+    if args.workers > 1 and not name.startswith("p_"):
+        print(
+            f"--workers {args.workers} needs the sharded engine; use a "
+            f"bare algorithm name or p_* (got {name!r})",
+            file=sys.stderr,
+        )
+        return None
+    try:
+        return make_multiuser(
+            name,
+            thresholds,
+            graph,
+            subscriptions,
+            workers=args.workers,
+            batch_size=args.batch_size,
+            storage=_storage_config(args),
+            transport=args.transport,
+            dynamic=dynamic,
+            friends=friends,
+            **_supervision_kwargs(args),
+        )
+    except ConfigurationError as exc:
+        print(str(exc), file=sys.stderr)
+        return None
+
+
 def _serve_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="firehose serve",
@@ -339,22 +403,7 @@ def _serve_parser() -> argparse.ArgumentParser:
         help="stream-time seconds an entry stays servable (default: the "
         "engine window lambda-t)",
     )
-    parser.add_argument("--workers", type=int, default=1)
-    parser.add_argument("--batch-size", type=int, default=512)
-    parser.add_argument(
-        "--transport", choices=("auto", "shm", "pipe"), default="auto"
-    )
-    parser.add_argument("--supervise", action="store_true")
-    parser.add_argument("--heartbeat-interval", type=float, default=1.0)
-    parser.add_argument("--max-restarts", type=int, default=3)
-    parser.add_argument("--shard-deadline", type=float, default=120.0)
-    parser.add_argument(
-        "--memory-budget",
-        type=int,
-        help="accounted-byte budget for the memory governor (mailbox bytes "
-        "join the engine windows in the same budget)",
-    )
-    parser.add_argument("--spill-dir", help="tiered window spill directory")
+    _add_engine_flags(parser)
     parser.add_argument(
         "--max-delay",
         type=float,
@@ -425,9 +474,6 @@ def _serve_parser() -> argparse.ArgumentParser:
         help="per-request time budget in seconds; an overrunning handler "
         "answers 504 (retry with the same idempotency key)",
     )
-    parser.add_argument("--lambda-c", type=int, default=18, help="content bits")
-    parser.add_argument("--lambda-t", type=float, default=1800.0, help="seconds")
-    parser.add_argument("--lambda-a", type=float, default=0.7, help="author distance")
     return parser
 
 
@@ -435,41 +481,21 @@ def _run_serve(argv: list[str]) -> int:
     import signal
     import threading
 
-    from .core import ALGORITHMS, Thresholds
+    from .core import Thresholds
     from .feed import FeedService, MailboxConfig
     from .io import read_graph_json, read_posts_jsonl, read_subscriptions_json
-    from .multiuser import MULTIUSER_NAMES, PARALLEL_NAMES, make_multiuser
     from .obs import Registry
     from .service import DiversificationService
 
     args = _serve_parser().parse_args(argv)
-    name = args.algorithm
-    if name in ALGORITHMS:
-        name = f"p_{name}"
-    if name not in MULTIUSER_NAMES + PARALLEL_NAMES:
-        print(
-            f"unknown multi-user algorithm {args.algorithm!r}; choose a bare "
-            f"algorithm ({', '.join(ALGORITHMS)}) or one of "
-            f"{MULTIUSER_NAMES + PARALLEL_NAMES}",
-            file=sys.stderr,
-        )
-        return 2
     thresholds = Thresholds(
         lambda_c=args.lambda_c, lambda_t=args.lambda_t, lambda_a=args.lambda_a
     )
     graph = read_graph_json(args.graph)
     subscriptions = read_subscriptions_json(args.subscriptions)
-    engine = make_multiuser(
-        name,
-        thresholds,
-        graph,
-        subscriptions,
-        workers=args.workers,
-        batch_size=args.batch_size,
-        storage=_storage_config(args),
-        transport=args.transport,
-        **_supervision_kwargs(args),
-    )
+    engine = _make_multiuser(args, thresholds, graph, subscriptions)
+    if engine is None:
+        return 2
     overload = None
     if args.max_delay is not None:
         from .resilience import OverloadController
@@ -487,14 +513,13 @@ def _run_serve(argv: list[str]) -> int:
     )
     durability = None
     if args.wal_dir:
-        import json as _json
-        import os as _os
-        from pathlib import Path as _Path
+        import json
+        import os
 
         from .feed import DurabilityConfig
         from .resilience import FeedFaultPlan
 
-        wal_dir = _Path(args.wal_dir)
+        wal_dir = Path(args.wal_dir)
         has_state = wal_dir.is_dir() and any(wal_dir.iterdir())
         if has_state and not args.recover:
             print(
@@ -504,9 +529,9 @@ def _run_serve(argv: list[str]) -> int:
             )
             return 2
         fault_plan = None
-        plan_json = _os.environ.get("REPRO_FEED_FAULT_PLAN")
+        plan_json = os.environ.get("REPRO_FEED_FAULT_PLAN")
         if plan_json:
-            fault_plan = FeedFaultPlan.from_dict(_json.loads(plan_json))
+            fault_plan = FeedFaultPlan.from_dict(json.loads(plan_json))
         durability = DurabilityConfig(
             wal_dir=wal_dir,
             snapshot_every=args.snapshot_interval,
@@ -651,36 +676,117 @@ def _generate_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: Flag conflicts of ``diversify``, one row per rejection: the modes the
+#: row applies to, the test on the parsed flags, and the stderr line. A
+#: mode is its input (``posts``/``events``), plus ``+subscriptions`` for a
+#: multi-user engine. Rows are checked in order and the first hit exits 2.
+_DIVERSIFY_CONFLICTS = (
+    (
+        ("posts",),
+        lambda args: args.workers != 1 or args.supervise,
+        "--workers/--supervise apply to the multi-user sharded engine; "
+        "pass --subscriptions to enable them",
+    ),
+    (
+        ("posts+subscriptions",),
+        lambda args: not args.graph,
+        "multi-user mode requires --graph",
+    ),
+    (
+        ("posts+subscriptions",),
+        lambda args: args.max_skew or args.trace_out,
+        "--max-skew and --trace-out are single-user pipeline features; "
+        "multi-user mode streams strictly ordered posts",
+    ),
+    (
+        ("events", "events+subscriptions"),
+        lambda args: not args.friends,
+        "--events requires --friends (the initial follow relation)",
+    ),
+    (
+        ("events", "events+subscriptions"),
+        lambda args: args.max_skew or args.trace_out,
+        "--max-skew and --trace-out are single-user pipeline features; "
+        "dynamic mode streams strictly ordered events",
+    ),
+    (
+        ("events",),
+        lambda args: args.supervise,
+        "--supervise applies to the multi-user sharded engine; "
+        "pass --subscriptions to enable it",
+    ),
+    (
+        ("events", "events+subscriptions"),
+        lambda args: args.spill_dir or args.memory_budget is not None,
+        "--spill-dir/--memory-budget are static-topology features; "
+        "dynamic mode rewrites bins wholesale on churn and keeps its "
+        "windows in memory",
+    ),
+)
+
+
 def _run_diversify(argv: list[str]) -> int:
-    from .core import Thresholds, make_diversifier
-    from .io import post_to_dict, read_graph_json, read_posts_jsonl
+    """Offer every post of a ``--posts`` or ``--events`` trace to one
+    engine and keep what it admits: a single-user engine, or with
+    ``--subscriptions`` a multi-user one that emits receiver sets."""
+    import json
+
+    from .core import ALGORITHMS, Post, Thresholds
+    from .io import (
+        post_to_dict,
+        read_graph_json,
+        read_posts_jsonl,
+        read_subscriptions_json,
+    )
     from .resilience import (
         Quarantine,
         ResilientIngest,
         load_checkpoint,
+        restore_engine,
         save_checkpoint,
+        snapshot_engine,
     )
 
     args = _diversify_parser().parse_args(argv)
     if bool(args.posts) == bool(args.events):
         print("pass exactly one of --posts or --events", file=sys.stderr)
         return 2
-    if args.events:
-        return _run_diversify_events(args)
-    if args.subscriptions:
-        return _run_diversify_multiuser(args)
-    if args.workers != 1 or args.supervise:
+    mode = ("events" if args.events else "posts") + (
+        "+subscriptions" if args.subscriptions else ""
+    )
+    for modes, rejects, message in _DIVERSIFY_CONFLICTS:
+        if mode in modes and rejects(args):
+            print(message, file=sys.stderr)
+            return 2
+    if args.events and args.graph:
         print(
-            "--workers/--supervise apply to the multi-user sharded engine; "
-            "pass --subscriptions to enable them",
+            "note: --graph is ignored with --events; the graph is derived "
+            "from --friends and the event stream",
             file=sys.stderr,
         )
-        return 2
+
     thresholds = Thresholds(
         lambda_c=args.lambda_c, lambda_t=args.lambda_t, lambda_a=args.lambda_a
     )
-    graph = read_graph_json(args.graph) if args.graph else None
+    graph = friends = None
+    if args.events:
+        from .dynamic import read_events_jsonl
+        from .io import read_friends_json
+
+        friends = read_friends_json(args.friends)
+        records = read_events_jsonl
+    else:
+        graph = read_graph_json(args.graph) if args.graph else None
+        records = read_posts_jsonl
+    subscriptions = (
+        read_subscriptions_json(args.subscriptions) if args.subscriptions else None
+    )
+    multiuser = subscriptions is not None
     sink = Quarantine()
+
+    # Static single-user mode runs the resilient pipeline (reorder buffer,
+    # per-post governor ticks); every other mode offers to the bare engine.
+    pipeline = None
     if args.resume_from:
         if args.spill_dir:
             print(
@@ -688,185 +794,53 @@ def _run_diversify(argv: list[str]) -> int:
                 "checkpointed engine keeps its windows in memory",
                 file=sys.stderr,
             )
-        pipeline = ResilientIngest.restore(
-            load_checkpoint(args.resume_from), graph=graph, quarantine=sink
-        )
-        resumed_name = getattr(pipeline.engine, "name", None)
-        if resumed_name is not None and resumed_name != args.algorithm:
+        snapshot = load_checkpoint(args.resume_from)
+        if mode == "posts":
+            pipeline = ResilientIngest.restore(
+                snapshot, graph=graph, quarantine=sink
+            )
+            engine = pipeline.engine
+            resumed_name = getattr(engine, "name", None)
+            if resumed_name is not None and resumed_name != args.algorithm:
+                print(
+                    f"note: resuming {resumed_name!r} from {args.resume_from}; "
+                    f"--algorithm {args.algorithm!r} ignored",
+                    file=sys.stderr,
+                )
+        else:
+            if snapshot.get("kind") == "pipeline":
+                snapshot = snapshot["engine"]
+            engine = restore_engine(
+                snapshot,
+                graph=graph,
+                subscriptions=subscriptions,
+                # With --events, --workers > 1 re-shards the restored
+                # engine; otherwise the checkpointed pool size is kept.
+                workers=(
+                    args.workers if args.events and args.workers > 1 else None
+                ),
+                **_supervision_kwargs(args),
+            )
+            origin = "--algorithm and the friends file" if args.events else (
+                "--algorithm/--workers"
+            )
             print(
-                f"note: resuming {resumed_name!r} from {args.resume_from}; "
-                f"--algorithm {args.algorithm!r} ignored",
+                f"note: resuming {engine.name!r} from {args.resume_from}; "
+                f"{origin} come from the checkpoint",
                 file=sys.stderr,
             )
-    else:
-        diversifier = make_diversifier(
-            args.algorithm, thresholds, graph, storage=_storage_config(args)
+    elif multiuser:
+        engine = _make_multiuser(
+            args,
+            thresholds,
+            graph,
+            subscriptions,
+            dynamic=bool(args.events),
+            friends=friends,
         )
-        pipeline = ResilientIngest(
-            diversifier,
-            max_skew=args.max_skew,
-            late_policy=args.order_policy,
-            quarantine=sink,
-        )
-    governor = _attach_governor(args, pipeline.engine)
-
-    registry = None
-    tracer = None
-    if args.metrics_out or args.trace_out:
-        from . import simhash
-        from .obs import OfferTracer, Registry, write_json_snapshot
-
-        registry = Registry()
-        if args.trace_out:
-            tracer = OfferTracer(args.trace_out, sample=args.trace_sample)
-        # Bind after any restore so callbacks see the live engine objects.
-        pipeline.bind_metrics(registry, tracer=tracer)
-        simhash.enable_metrics(registry)
-
-    out_handle = open(args.output, "w", encoding="utf-8") if args.output else None
-    try:
-        import json
-
-        def emit(events):
-            for event in events:
-                if event.admitted and out_handle is not None:
-                    out_handle.write(
-                        json.dumps(post_to_dict(event.post), sort_keys=True)
-                    )
-                    out_handle.write("\n")
-
-        for post in read_posts_jsonl(
-            args.posts, on_error=args.on_error, quarantine=sink
-        ):
-            emit(pipeline.ingest(post))
-            if governor is not None:
-                governor.observe()
-        emit(pipeline.flush())
-    finally:
-        if out_handle is not None:
-            out_handle.close()
-
-    stats = (
-        pipeline.engine.stats
-        if not pipeline.is_multiuser
-        else pipeline.engine.aggregate_stats()
-    )
-    print(
-        f"{pipeline.engine.name}: {stats.posts_admitted}/{stats.posts_processed} "
-        f"posts kept ({100 * (1 - stats.retention_ratio):.1f}% pruned); "
-        f"{stats.comparisons:,} comparisons, {stats.insertions:,} insertions"
-    )
-    _print_governor_summary(governor)
-    reorder = pipeline.reorder.counters
-    if reorder.reordered or reorder.late_dropped or reorder.late_clamped:
-        print(
-            f"reorder: {reorder.reordered} out-of-order absorbed, "
-            f"{reorder.late_dropped} dropped late, "
-            f"{reorder.late_clamped} clamped late "
-            f"(peak buffer {reorder.peak_buffered})"
-        )
-    if len(sink):
-        print(
-            f"quarantined {len(sink)} records: "
-            + ", ".join(f"{r}={c}" for r, c in sorted(sink.by_reason.items()))
-        )
-    if args.quarantine_out:
-        written = sink.write_jsonl(args.quarantine_out)
-        print(f"dead-letter file written to {args.quarantine_out} ({written} records)")
-    if args.checkpoint_out:
-        save_checkpoint(pipeline.checkpoint(), args.checkpoint_out)
-        print(f"checkpoint written to {args.checkpoint_out}")
-    if registry is not None:
-        from . import simhash
-
-        simhash.disable_metrics()
-        if args.metrics_out:
-            write_json_snapshot(registry, args.metrics_out)
-            print(f"metrics snapshot written to {args.metrics_out}")
-        if tracer is not None:
-            tracer.close()
-            print(
-                f"trace written to {args.trace_out} "
-                f"({tracer.spans_written}/{tracer.spans_seen} spans)"
-            )
-    if args.output:
-        print(f"diversified trace written to {args.output}")
-    return 0
-
-
-def _run_diversify_events(args) -> int:
-    """Dynamic mode of ``diversify``: consume a mixed post/follow/unfollow
-    trace, deriving (and live-migrating) the author graph from the follow
-    relation. Single-engine without --subscriptions, multi-user with."""
-    import json
-
-    from .core import ALGORITHMS, Post, Thresholds
-    from .dynamic import DynamicDiversifier, FollowEvent, UnfollowEvent, read_events_jsonl
-    from .io import post_to_dict, read_friends_json, read_subscriptions_json
-    from .multiuser import make_multiuser
-    from .resilience import (
-        Quarantine,
-        load_checkpoint,
-        restore_engine,
-        save_checkpoint,
-        snapshot_engine,
-    )
-
-    if not args.friends:
-        print("--events requires --friends (the initial follow relation)", file=sys.stderr)
-        return 2
-    if args.graph:
-        print(
-            "note: --graph is ignored with --events; the graph is derived "
-            "from --friends and the event stream",
-            file=sys.stderr,
-        )
-    if args.max_skew or args.trace_out:
-        print(
-            "--max-skew and --trace-out are single-user pipeline features; "
-            "dynamic mode streams strictly ordered events",
-            file=sys.stderr,
-        )
-        return 2
-    if args.supervise and not args.subscriptions:
-        print(
-            "--supervise applies to the multi-user sharded engine; "
-            "pass --subscriptions to enable it",
-            file=sys.stderr,
-        )
-        return 2
-    if args.spill_dir or args.memory_budget is not None:
-        print(
-            "--spill-dir/--memory-budget are static-topology features; "
-            "dynamic mode rewrites bins wholesale on churn and keeps its "
-            "windows in memory",
-            file=sys.stderr,
-        )
-        return 2
-    thresholds = Thresholds(
-        lambda_c=args.lambda_c, lambda_t=args.lambda_t, lambda_a=args.lambda_a
-    )
-    friends = read_friends_json(args.friends)
-    subscriptions = (
-        read_subscriptions_json(args.subscriptions) if args.subscriptions else None
-    )
-    sink = Quarantine()
-
-    if args.resume_from:
-        engine = restore_engine(
-            load_checkpoint(args.resume_from),
-            subscriptions=subscriptions,
-            # --workers > 1 re-shards the restored engine; otherwise the
-            # checkpointed pool size is kept.
-            workers=args.workers if args.workers > 1 else None,
-            **_supervision_kwargs(args),
-        )
-        print(
-            f"note: resuming {engine.name!r} from {args.resume_from}; "
-            "--algorithm and the friends file come from the checkpoint",
-            file=sys.stderr,
-        )
-    elif subscriptions is None:
+        if engine is None:
+            return 2
+    elif args.events:
         if args.algorithm not in ALGORITHMS:
             print(
                 f"unknown algorithm {args.algorithm!r}; dynamic single-user "
@@ -874,266 +848,124 @@ def _run_diversify_events(args) -> int:
                 file=sys.stderr,
             )
             return 2
+        from .dynamic import DynamicDiversifier
+
         engine = DynamicDiversifier(args.algorithm, thresholds, friends)
     else:
-        name = args.algorithm
-        if name in ALGORITHMS:
-            name = f"p_{name}"  # bare algorithm → workers decide the layout
-        try:
-            engine = make_multiuser(
-                name,
-                thresholds,
-                None,
-                subscriptions,
-                workers=args.workers,
-                batch_size=args.batch_size,
-                dynamic=True,
-                friends=friends,
-                **_supervision_kwargs(args),
-            )
-        except Exception as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
+        from .core import make_diversifier
 
-    registry = None
-    if args.metrics_out:
-        from . import simhash
-        from .obs import Registry
-
-        registry = Registry()
-        engine.bind_metrics(registry)
-        simhash.enable_metrics(registry)
-
-    multiuser = subscriptions is not None
-    deliveries = 0
-    admitted = 0
-    out_handle = open(args.output, "w", encoding="utf-8") if args.output else None
-    try:
-        chunk: list[Post] = []
-
-        def drain() -> None:
-            nonlocal deliveries, admitted
-            if not chunk:
-                return
-            if multiuser:
-                for post, receivers in zip(chunk, engine.offer_batch(chunk)):
-                    deliveries += len(receivers)
-                    if receivers and out_handle is not None:
-                        record = post_to_dict(post)
-                        record["receivers"] = sorted(receivers)
-                        out_handle.write(json.dumps(record, sort_keys=True))
-                        out_handle.write("\n")
-            else:
-                for post in chunk:
-                    if engine.offer(post):
-                        admitted += 1
-                        if out_handle is not None:
-                            out_handle.write(
-                                json.dumps(post_to_dict(post), sort_keys=True)
-                            )
-                            out_handle.write("\n")
-            chunk.clear()
-
-        for event in read_events_jsonl(
-            args.events, on_error=args.on_error, quarantine=sink
-        ):
-            if isinstance(event, (FollowEvent, UnfollowEvent)):
-                drain()
-                engine.apply(event)
-            else:
-                chunk.append(event)
-                if len(chunk) >= args.batch_size:
-                    drain()
-        drain()
-
-        stats = engine.aggregate_stats() if multiuser else engine.stats
-        counts = engine.event_counts
-        print(
-            f"{engine.name}: {counts['post']} posts, {counts['follow']} follows, "
-            f"{counts['unfollow']} unfollows; graph version "
-            f"{engine.graph_version} ({engine.migrations} migrations)"
+        pipeline = ResilientIngest(
+            make_diversifier(
+                args.algorithm, thresholds, graph, storage=_storage_config(args)
+            ),
+            max_skew=args.max_skew,
+            late_policy=args.order_policy,
+            quarantine=sink,
         )
-        if multiuser:
-            print(
-                f"{stats.posts_admitted}/{stats.posts_processed} instance "
-                f"offers admitted; {deliveries:,} deliveries to "
-                f"{len(subscriptions)} users; {stats.comparisons:,} "
-                f"comparisons, {stats.insertions:,} insertions"
-            )
-            _print_supervision_summary(engine)
-        else:
-            print(
-                f"{stats.posts_admitted}/{stats.posts_processed} posts kept; "
-                f"{stats.comparisons:,} comparisons, "
-                f"{stats.insertions:,} insertions"
-            )
-        if len(sink):
-            print(
-                f"quarantined {len(sink)} records: "
-                + ", ".join(f"{r}={c}" for r, c in sorted(sink.by_reason.items()))
-            )
-        if args.quarantine_out:
-            written = sink.write_jsonl(args.quarantine_out)
-            print(
-                f"dead-letter file written to {args.quarantine_out} "
-                f"({written} records)"
-            )
-        if args.checkpoint_out:
-            save_checkpoint(snapshot_engine(engine), args.checkpoint_out)
-            print(f"checkpoint written to {args.checkpoint_out}")
-        if registry is not None:
-            from . import simhash
-            from .obs import write_json_snapshot
+        engine = pipeline.engine
 
-            simhash.disable_metrics()
-            write_json_snapshot(registry, args.metrics_out)
-            print(f"metrics snapshot written to {args.metrics_out}")
-        if args.output:
-            kind = "receiver trace" if multiuser else "diversified trace"
-            print(f"{kind} written to {args.output}")
-    finally:
-        if out_handle is not None:
-            out_handle.close()
-        if hasattr(engine, "close"):
-            engine.close()
-    return 0
-
-
-def _run_diversify_multiuser(args) -> int:
-    """Multi-user mode of ``diversify``: route every post to the users who
-    receive it, through a serial (m_*/s_*) or sharded parallel (p_*)
-    engine, batching posts to amortize per-offer — and, with workers > 1,
-    IPC — overhead."""
-    import json
-
-    from .core import ALGORITHMS, Thresholds
-    from .io import (
-        post_to_dict,
-        read_graph_json,
-        read_posts_jsonl,
-        read_subscriptions_json,
-    )
-    from .multiuser import MULTIUSER_NAMES, PARALLEL_NAMES, make_multiuser
-    from .resilience import (
-        Quarantine,
-        load_checkpoint,
-        restore_engine,
-        save_checkpoint,
-        snapshot_engine,
-    )
-
-    if not args.graph:
-        print("multi-user mode requires --graph", file=sys.stderr)
-        return 2
-    if args.max_skew or args.trace_out:
-        print(
-            "--max-skew and --trace-out are single-user pipeline features; "
-            "multi-user mode streams strictly ordered posts",
-            file=sys.stderr,
-        )
-        return 2
-    thresholds = Thresholds(
-        lambda_c=args.lambda_c, lambda_t=args.lambda_t, lambda_a=args.lambda_a
-    )
-    graph = read_graph_json(args.graph)
-    subscriptions = read_subscriptions_json(args.subscriptions)
-    sink = Quarantine()
-
-    if args.resume_from:
-        if args.spill_dir:
-            print(
-                "note: --spill-dir is ignored with --resume-from; the "
-                "checkpointed engine keeps its windows in memory",
-                file=sys.stderr,
-            )
-        snap = load_checkpoint(args.resume_from)
-        if snap.get("kind") == "pipeline":
-            snap = snap["engine"]
-        engine = restore_engine(
-            snap,
-            graph=graph,
-            subscriptions=subscriptions,
-            **_supervision_kwargs(args),
-        )
-        print(
-            f"note: resuming {engine.name!r} from {args.resume_from}; "
-            "--algorithm/--workers come from the checkpoint",
-            file=sys.stderr,
-        )
-    else:
-        name = args.algorithm
-        if name in ALGORITHMS:
-            name = f"p_{name}"  # bare algorithm → sharded engine
-        if name not in MULTIUSER_NAMES + PARALLEL_NAMES:
-            print(
-                f"unknown multi-user algorithm {args.algorithm!r}; choose a "
-                f"bare algorithm ({', '.join(ALGORITHMS)}) or one of "
-                f"{MULTIUSER_NAMES + PARALLEL_NAMES}",
-                file=sys.stderr,
-            )
-            return 2
-        if args.workers > 1 and not name.startswith("p_"):
-            print(
-                f"--workers {args.workers} needs the sharded engine; use a "
-                f"bare algorithm name or p_* (got {name!r})",
-                file=sys.stderr,
-            )
-            return 2
-        engine = make_multiuser(
-            name,
-            thresholds,
-            graph,
-            subscriptions,
-            workers=args.workers,
-            batch_size=args.batch_size,
-            storage=_storage_config(args),
-            transport=args.transport,
-            **_supervision_kwargs(args),
-        )
     governor = _attach_governor(args, engine)
-
-    registry = None
-    if args.metrics_out:
-        from . import simhash
-        from .obs import Registry
-
-        registry = Registry()
-        engine.bind_metrics(registry)
-        simhash.enable_metrics(registry)
-
-    deliveries = 0
-    out_handle = open(args.output, "w", encoding="utf-8") if args.output else None
+    registry = tracer = out_handle = None
     try:
+        if args.metrics_out or args.trace_out:
+            from . import simhash
+            from .obs import OfferTracer, Registry, write_json_snapshot
+
+            registry = Registry()
+            if args.trace_out:
+                tracer = OfferTracer(args.trace_out, sample=args.trace_sample)
+            # Bind after any restore so callbacks see the live engine objects.
+            if pipeline is not None:
+                pipeline.bind_metrics(registry, tracer=tracer)
+            else:
+                engine.bind_metrics(registry)
+            simhash.enable_metrics(registry)
+        if args.output:
+            out_handle = open(args.output, "w", encoding="utf-8")
+
+        def emit(post, receivers=None) -> None:
+            if out_handle is None:
+                return
+            record = post_to_dict(post)
+            if receivers is not None:
+                record["receivers"] = sorted(receivers)
+            out_handle.write(json.dumps(record, sort_keys=True))
+            out_handle.write("\n")
+
+        def keep(events) -> None:
+            for event in events:
+                if event.admitted:
+                    emit(event.post)
+
         chunk: list = []
+        deliveries = 0
 
         def drain() -> None:
             nonlocal deliveries
-            for post, receivers in zip(chunk, engine.offer_batch(chunk)):
-                deliveries += len(receivers)
-                if receivers and out_handle is not None:
-                    record = post_to_dict(post)
-                    record["receivers"] = sorted(receivers)
-                    out_handle.write(json.dumps(record, sort_keys=True))
-                    out_handle.write("\n")
-            if governor is not None and chunk:
-                governor.observe(len(chunk))
+            if multiuser:
+                for post, receivers in zip(chunk, engine.offer_batch(chunk)):
+                    deliveries += len(receivers)
+                    if receivers:
+                        emit(post, receivers)
+                if governor is not None:
+                    governor.observe(len(chunk))
+            elif pipeline is not None:
+                for post in chunk:
+                    keep(pipeline.ingest(post))
+                    if governor is not None:
+                        governor.observe()
+            else:
+                for post in chunk:
+                    if engine.offer(post):
+                        emit(post)
             chunk.clear()
 
-        for post in read_posts_jsonl(
-            args.posts, on_error=args.on_error, quarantine=sink
+        # The pipeline takes posts one at a time (its reorder buffer does
+        # its own batching); the engines take chunks of --batch-size, and a
+        # follow/unfollow event first drains the posts before it.
+        limit = 1 if pipeline is not None else args.batch_size
+        for record in records(
+            args.events or args.posts, on_error=args.on_error, quarantine=sink
         ):
-            chunk.append(post)
-            if len(chunk) >= args.batch_size:
+            if not isinstance(record, Post):
+                if chunk:
+                    drain()
+                engine.apply(record)
+                continue
+            chunk.append(record)
+            if len(chunk) >= limit:
                 drain()
-        drain()
+        if chunk:
+            drain()
+        if pipeline is not None:
+            keep(pipeline.flush())
 
-        stats = engine.aggregate_stats()
-        print(
-            f"{engine.name}: {stats.posts_admitted}/{stats.posts_processed} "
-            f"instance offers admitted; {deliveries:,} deliveries to "
-            f"{len(subscriptions)} users; {stats.comparisons:,} comparisons, "
-            f"{stats.insertions:,} insertions"
+        stats = (
+            engine.aggregate_stats()
+            if hasattr(engine, "aggregate_stats")
+            else engine.stats
         )
+        kept = f"{stats.posts_admitted}/{stats.posts_processed}"
+        cost = f"{stats.comparisons:,} comparisons, {stats.insertions:,} insertions"
+        head = f"{engine.name}: "
+        if args.events:
+            counts = engine.event_counts
+            print(
+                f"{head}{counts['post']} posts, {counts['follow']} follows, "
+                f"{counts['unfollow']} unfollows; graph version "
+                f"{engine.graph_version} ({engine.migrations} migrations)"
+            )
+            head = ""
+        if multiuser:
+            print(
+                f"{head}{kept} instance offers admitted; {deliveries:,} "
+                f"deliveries to {len(subscriptions)} users; {cost}"
+            )
+        elif args.events:
+            print(f"{kept} posts kept; {cost}")
+        else:
+            pruned = 100 * (1 - stats.retention_ratio)
+            print(f"{head}{kept} posts kept ({pruned:.1f}% pruned); {cost}")
         if hasattr(engine, "shard_count"):
             print(
                 f"shards: {engine.shard_count()} "
@@ -1142,6 +974,15 @@ def _run_diversify_multiuser(args) -> int:
             )
         _print_supervision_summary(engine)
         _print_governor_summary(governor)
+        if pipeline is not None:
+            reorder = pipeline.reorder.counters
+            if reorder.reordered or reorder.late_dropped or reorder.late_clamped:
+                print(
+                    f"reorder: {reorder.reordered} out-of-order absorbed, "
+                    f"{reorder.late_dropped} dropped late, "
+                    f"{reorder.late_clamped} clamped late "
+                    f"(peak buffer {reorder.peak_buffered})"
+                )
         if len(sink):
             print(
                 f"quarantined {len(sink)} records: "
@@ -1154,20 +995,33 @@ def _run_diversify_multiuser(args) -> int:
                 f"({written} records)"
             )
         if args.checkpoint_out:
-            save_checkpoint(snapshot_engine(engine), args.checkpoint_out)
+            save_checkpoint(
+                pipeline.checkpoint()
+                if pipeline is not None
+                else snapshot_engine(engine),
+                args.checkpoint_out,
+            )
             print(f"checkpoint written to {args.checkpoint_out}")
-        if registry is not None:
-            from . import simhash
-            from .obs import write_json_snapshot
-
-            simhash.disable_metrics()
+        if args.metrics_out:
             write_json_snapshot(registry, args.metrics_out)
             print(f"metrics snapshot written to {args.metrics_out}")
+        if tracer is not None:
+            print(
+                f"trace written to {args.trace_out} "
+                f"({tracer.spans_written}/{tracer.spans_seen} spans)"
+            )
         if args.output:
-            print(f"receiver trace written to {args.output}")
+            kind = "receiver trace" if multiuser else "diversified trace"
+            print(f"{kind} written to {args.output}")
     finally:
+        # Instrumentation is process-global: a failed run must not leave
+        # the fingerprint hook on or the span log open.
         if out_handle is not None:
             out_handle.close()
+        if registry is not None:
+            simhash.disable_metrics()
+        if tracer is not None:
+            tracer.close()
         if hasattr(engine, "close"):
             engine.close()
     return 0
@@ -1443,16 +1297,15 @@ def _all_runners() -> dict[str, object]:
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
     argv = list(sys.argv[1:] if argv is None else argv)
-    if argv and argv[0] == "diversify":
-        return _run_diversify(argv[1:])
-    if argv and argv[0] == "generate":
-        return _run_generate(argv[1:])
-    if argv and argv[0] == "report":
-        return _run_report(argv[1:])
-    if argv and argv[0] == "experiments":
-        return _run_experiments(argv[1:])
-    if argv and argv[0] == "serve":
-        return _run_serve(argv[1:])
+    commands = {
+        "diversify": _run_diversify,
+        "generate": _run_generate,
+        "report": _run_report,
+        "experiments": _run_experiments,
+        "serve": _run_serve,
+    }
+    if argv and argv[0] in commands:
+        return commands[argv[0]](argv[1:])
 
     args = _experiment_parser().parse_args(argv)
     runners = _all_runners()
@@ -1461,10 +1314,7 @@ def main(argv: list[str] | None = None) -> int:
         print("available experiments:")
         for name in runners:
             print(f"  {name}")
-        print(
-            "other commands: diversify, generate, report, experiments, "
-            "serve (see --help on each)"
-        )
+        print(f"other commands: {', '.join(commands)} (see --help on each)")
         return 0
 
     if args.experiment == "all":

@@ -257,3 +257,30 @@ def test_sigterm_racing_incoming_connections_is_never_lost(trace):
         assert proc.returncode == 0, f"round {round_}: {err}"
         assert "feed: 0 posts received" in out
         assert elapsed < 5.0
+
+
+def test_serve_rejects_workers_on_a_serial_engine(trace, monkeypatch, capsys):
+    """--workers needs a sharded p_* engine, as in ``diversify``: a serial
+    name exits 2 before any port is bound instead of running serially."""
+    from repro.cli import main
+    from repro.feed import FeedService
+
+    def bind(*args, **kwargs):
+        raise AssertionError("serve bound a port")
+
+    monkeypatch.setattr(FeedService, "serve", bind)
+    code = main(
+        [
+            "serve",
+            "--graph", str(trace / "graph.json"),
+            "--subscriptions", str(trace / "subscriptions.json"),
+            "--algorithm", "s_unibin",
+            "--workers", "4",
+            "--port", "0",
+        ]
+    )
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "--workers 4 needs the sharded engine; use a bare algorithm name or "
+        "p_* (got 's_unibin')\n"
+    )

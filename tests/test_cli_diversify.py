@@ -321,3 +321,41 @@ def test_static_pipeline_flags(tmp_path, capsys):
     got = [json.loads(line)["post_id"] for line in out_path.read_text().splitlines()]
     assert got == expected
     assert len(got) > 0
+
+
+TEARDOWN = {
+    "posts-single": POSTS + GRAPH + ["--trace-out", "{tmp}/trace.jsonl"],
+    "posts-multi": POSTS + GRAPH + SUBS + ["--algorithm", "s_unibin"],
+    "events-single": EVENTS + FRIENDS,
+    "events-multi": EVENTS + FRIENDS + DYNAMIC_SUBS + ["--algorithm", "s_unibin"],
+}
+
+
+@pytest.mark.parametrize("case", list(TEARDOWN))
+def test_failed_run_turns_instrumentation_off(world, capsys, monkeypatch, case):
+    """A strict run that dies on the malformed last line still detaches the
+    process-global fingerprint hook and closes the span log."""
+    import repro.obs
+    from repro.errors import DatasetError
+    from repro.simhash import fingerprint
+
+    monkeypatch.setattr(fingerprint, "_METRICS", None)
+    tracers = []
+
+    class RecordingTracer(repro.obs.OfferTracer):
+        closed = False
+
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            tracers.append(self)
+
+        def close(self):
+            super().close()
+            self.closed = True
+
+    monkeypatch.setattr(repro.obs, "OfferTracer", RecordingTracer)
+    with pytest.raises(DatasetError):
+        run(world, capsys, TEARDOWN[case] + ["--metrics-out", "{tmp}/m.json"])
+    assert fingerprint._METRICS is None
+    assert all(tracer.closed for tracer in tracers)
+    assert len(tracers) == (1 if case == "posts-single" else 0)
