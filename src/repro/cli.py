@@ -731,9 +731,10 @@ def _run_diversify(argv: list[str]) -> int:
     ``--subscriptions`` a multi-user one that emits receiver sets."""
     import json
 
-    from .core import ALGORITHMS, Post, Thresholds
+    from .core import ALGORITHMS, Post, Thresholds, make_diversifier
     from .io import (
         post_to_dict,
+        read_friends_json,
         read_graph_json,
         read_posts_jsonl,
         read_subscriptions_json,
@@ -771,13 +772,12 @@ def _run_diversify(argv: list[str]) -> int:
     graph = friends = None
     if args.events:
         from .dynamic import read_events_jsonl
-        from .io import read_friends_json
 
         friends = read_friends_json(args.friends)
-        records = read_events_jsonl
+        read_trace = read_events_jsonl
     else:
         graph = read_graph_json(args.graph) if args.graph else None
-        records = read_posts_jsonl
+        read_trace = read_posts_jsonl
     subscriptions = (
         read_subscriptions_json(args.subscriptions) if args.subscriptions else None
     )
@@ -852,8 +852,6 @@ def _run_diversify(argv: list[str]) -> int:
 
         engine = DynamicDiversifier(args.algorithm, thresholds, friends)
     else:
-        from .core import make_diversifier
-
         pipeline = ResilientIngest(
             make_diversifier(
                 args.algorithm, thresholds, graph, storage=_storage_config(args)
@@ -920,11 +918,11 @@ def _run_diversify(argv: list[str]) -> int:
                         emit(post)
             chunk.clear()
 
-        # The pipeline takes posts one at a time (its reorder buffer does
-        # its own batching); the engines take chunks of --batch-size, and a
-        # follow/unfollow event first drains the posts before it.
+        # The pipeline ingests each post as it is read, with one governor
+        # tick per post; the engines take chunks of --batch-size, and a
+        # follow/unfollow record first drains the posts before it.
         limit = 1 if pipeline is not None else args.batch_size
-        for record in records(
+        for record in read_trace(
             args.events or args.posts, on_error=args.on_error, quarantine=sink
         ):
             if not isinstance(record, Post):

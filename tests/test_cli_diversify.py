@@ -14,10 +14,12 @@ import random
 
 import pytest
 
+import repro.obs
 from repro.authors import AuthorGraph
-from repro.cli import main
+from repro.cli import _DIVERSIFY_CONFLICTS, main
 from repro.core import Thresholds, make_diversifier
 from repro.dynamic import write_events_jsonl
+from repro.errors import DatasetError
 from repro.io import (
     read_graph_json,
     read_posts_jsonl,
@@ -28,6 +30,7 @@ from repro.io import (
 )
 from repro.multiuser import SubscriptionTable
 from repro.resilience import Quarantine, ResilientIngest
+from repro.simhash import fingerprint
 
 from .support import (
     AUTHORS,
@@ -65,8 +68,8 @@ def world(tmp_path):
 
 
 def run(world, capsys, args):
-    """``main(["diversify", *args])`` with ``{name}`` expanded to a path
-    under ``world``; returns (exit code, stdout, stderr) with that
+    """``main(["diversify", *args])`` with ``{tmp}`` expanded to the
+    ``world`` directory; returns (exit code, stdout, stderr) with that
     directory printed as ``<tmp>``."""
     argv = [arg.format(tmp=world) for arg in args]
     code = main(["diversify", *argv])
@@ -167,6 +170,11 @@ def test_conflict_exits_2_with_one_stderr_line(world, capsys, case):
     args, message = CONFLICTS[case]
     code, out, err = run(world, capsys, args)
     assert (code, out, err) == (2, "", message + "\n")
+
+
+def test_every_conflict_row_has_a_case():
+    pinned = {message for _, message in CONFLICTS.values()}
+    assert {message for _, _, message in _DIVERSIFY_CONFLICTS} <= pinned
 
 
 TAIL = [
@@ -335,10 +343,6 @@ TEARDOWN = {
 def test_failed_run_turns_instrumentation_off(world, capsys, monkeypatch, case):
     """A strict run that dies on the malformed last line still detaches the
     process-global fingerprint hook and closes the span log."""
-    import repro.obs
-    from repro.errors import DatasetError
-    from repro.simhash import fingerprint
-
     monkeypatch.setattr(fingerprint, "_METRICS", None)
     tracers = []
 
